@@ -21,11 +21,7 @@ let load_or_create_seed path =
     Ok seed
   end
 
-let load_or_create_mapping path ~p ~e ~trie xml_path =
-  let q =
-    let rec pow acc i = if i = 0 then acc else pow (acc * p) (i - 1) in
-    pow 1 e
-  in
+let load_or_create_mapping path ~q ~trie xml_path =
   if Sys.file_exists path then Mapping.load path
   else begin
     match In_channel.with_open_bin xml_path In_channel.input_all with
@@ -130,8 +126,11 @@ let run xml_path map_path seed_path db_path p e trie_mode durable checkpoint_eve
   match trie with
   | Error other -> err "unknown --trie mode %S (none|compressed|uncompressed)" other
   | Ok trie -> (
-      if not (Secshare_field.Prime.is_prime p) then err "p = %d is not prime" p
-      else if shards < 1 then err "--shards must be >= 1"
+      (* the field is admitted before the seed, map or document is read *)
+      match Secshare_core.Database.checked_field_order ~p ~e with
+      | Error m -> err "%s" m
+      | Ok q ->
+      if shards < 1 then err "--shards must be >= 1"
       else if threshold < 1 || threshold > shards then
         err "--threshold %d outside [1, %d]" threshold shards
       else
@@ -141,7 +140,7 @@ let run xml_path map_path seed_path db_path p e trie_mode durable checkpoint_eve
         match load_or_create_seed seed_path with
         | Error m -> err "seed: %s" m
         | Ok seed -> (
-            match load_or_create_mapping map_path ~p ~e ~trie xml_path with
+            match load_or_create_mapping map_path ~q ~trie xml_path with
             | Error m -> err "map: %s" m
             | Ok mapping -> (
                 let ring = Secshare_poly.Ring.of_prime_power ~p ~e in

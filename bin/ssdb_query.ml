@@ -51,9 +51,10 @@ let run db_path socket_path map_path seed_path p e engine_name strictness_name t
     | "nonstrict" | "containment" -> Ok QC.Non_strict
     | other -> Error ("unknown strictness " ^ other)
   in
-  match (engine, strictness) with
-  | Error m, _ | _, Error m -> err "%s" m
-  | Ok engine, Ok strictness -> (
+  (* the field is admitted before the map, seed, database or socket is touched *)
+  match (engine, strictness, DB.checked_field_order ~p ~e) with
+  | Error m, _, _ | _, Error m, _ | _, _, Error m -> err "%s" m
+  | Ok engine, Ok strictness, Ok _ -> (
       match Secshare_core.Mapping.load map_path with
       | Error m -> err "map: %s" m
       | Ok mapping -> (

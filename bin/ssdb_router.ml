@@ -22,8 +22,8 @@ let run shard_paths socket_path p e timeout max_retries max_cursors send_timeout
   | Result.Ok level -> (
       Obs.Events.set_level level;
       Obs.Trace.set_log_file trace_log;
-      if not (Secshare_field.Prime.is_prime p) then err "p = %d is not prime" p
-      else if shard_paths = [] then err "need at least one --shard SOCKET"
+      (* [Router.connect] admits the field before opening any socket *)
+      if shard_paths = [] then err "need at least one --shard SOCKET"
       else
         let policy =
           {

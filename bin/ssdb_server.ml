@@ -20,8 +20,10 @@ let run db_path socket_path p e durable cursor_ttl max_cursors workers send_time
   | Result.Ok level -> (
       Obs.Events.set_level level;
       Obs.Trace.set_log_file trace_log;
-      if not (Secshare_field.Prime.is_prime p) then err "p = %d is not prime" p
-      else
+      (* the field is admitted before the database file is opened *)
+      match Secshare_core.Database.checked_field_order ~p ~e with
+      | Error m -> err "%s" m
+      | Ok _ ->
         match Secshare_store.Node_table.open_file ~durable db_path with
         | Error m -> err "database: %s" m
         | Ok table ->

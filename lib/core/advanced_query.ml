@@ -9,11 +9,13 @@ open Query_common
    whose level-by-level walk never enters a branch that fails the
    sieve.
 
-   With the fused protocol the *first* sieve point rides inside the
-   child scan; the remaining points still drop out one [Eval_batch]
-   round at a time, so the evaluation counts (one pair per surviving
-   node per point) match the unfused lowering — only the round-trip
-   count shrinks. *)
+   The *first* sieve point rides inside the child scan; the remaining
+   points still drop out one [Eval_batch] round at a time, so the
+   evaluation counts (one pair per surviving node per point) match the
+   unfused lowering — only the round-trip count shrinks.  [~fused:false]
+   keeps every point in [Filter_containment]; that plan runs correctly
+   on the same executor and stays only because perfbench/perfbench.ml
+   passes [~fused]. *)
 let lower ?agg ~fused ~mapping ~strictness query =
   if query = [] then raise (Query_error "empty query");
   let look_names = Ast.names_after query in
@@ -73,9 +75,7 @@ let run_explained filter ~mapping ~strictness query =
   if query = [] then raise (Query_error "empty query");
   if not (all_names_mapped ~mapping query) then ([], [])
   else begin
-    let plan =
-      lower ~fused:(Client_filter.fused_scan filter) ~mapping ~strictness query
-    in
+    let plan = lower ~fused:true ~mapping ~strictness query in
     let ops = Operator.build filter plan in
     let metas = Operator.drain ops in
     (sort_dedup metas, Operator.stats_list ops)
@@ -88,9 +88,7 @@ let run_value filter ~mapping ~strictness ~agg query =
   if query = [] then raise (Query_error "empty query");
   if not (all_names_mapped ~mapping query) then (empty_agg_value agg, [])
   else begin
-    let plan =
-      lower ~agg ~fused:(Client_filter.fused_scan filter) ~mapping ~strictness query
-    in
+    let plan = lower ~agg ~fused:true ~mapping ~strictness query in
     let ops = Operator.build filter plan in
     ignore (Operator.drain ops : _ list);
     match List.rev ops with

@@ -28,7 +28,9 @@ val lower :
     steps apply them as a containment sieve (first point fused into
     the scan when [fused]), descendant steps become the pruned
     look-ahead walk.  With [agg] the plan ends in the terminal
-    [Aggregate] sink.
+    [Aggregate] sink.  The engine always lowers with [fused:true];
+    the unfused plan is still valid (it stays because
+    perfbench/perfbench.ml passes [fused]).
     @raise Query_common.Query_error on an empty query, a name with
     no map entry, or a [sum]/[avg] over a non-aggregatable tag. *)
 

@@ -22,11 +22,9 @@ let obs_cache_evictions =
 type t = {
   ring : Secshare_poly.Ring.t;
   seed : Secshare_prg.Seed.t;
+  tab : Secshare_field.Table.t;  (** the ring's flat op-tables *)
   transport : Transport.t;
-  batch_size : int;
   scan_batch : int;
-  batch_eval : bool;
-  fused_scan : bool;
   metrics : Metrics.t;
   share_cache : (int, Cyclic.t) Lru.t option;
       (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
@@ -36,16 +34,13 @@ type t = {
          even the O(degree) Horner pass *)
 }
 
-let create ring ~seed ?(batch_size = 64) ?(scan_batch = 256) ?(batch_eval = true)
-    ?(fused_scan = true) ?(share_cache = 4096) transport =
+let create ring ~seed ?(scan_batch = 256) ?(share_cache = 4096) transport =
   {
     ring;
     seed;
+    tab = Share.kernel_table ring;
     transport;
-    batch_size = max 1 batch_size;
     scan_batch = max 1 scan_batch;
-    batch_eval;
-    fused_scan;
     metrics = Metrics.create ();
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
     eval_cache = (if share_cache <= 0 then None else Some (Lru.create (4 * share_cache)));
@@ -60,10 +55,11 @@ let reset_metrics t =
   Option.iter Lru.clear t.eval_cache
 
 let rpc_counters t = Transport.counters t.transport
-let batch_size t = t.batch_size
 let scan_batch t = t.scan_batch
-let batch_eval t = t.batch_eval
-let fused_scan t = t.fused_scan
+
+(* Always true since the fused [Scan_eval] protocol became the only
+   one; kept because perfbench/perfbench.ml still reads it. *)
+let fused_scan _ = true
 let share_cache_stats t = Option.map Lru.stats t.share_cache
 let share_cache_capacity t = Option.fold ~none:0 ~some:Lru.capacity t.share_cache
 
@@ -85,20 +81,15 @@ let client_poly t ~pre =
             obs_cache_evictions;
           poly)
 
-(* Evaluate a regenerated client polynomial.  With ring byte tables
-   (any q <= 256) this is the flat Horner kernel over the cached
-   coefficient buffer — no unpacking, no closure calls; the zero
-   point defers to [Cyclic.eval] so its error is unchanged. *)
+(* Evaluate a regenerated client polynomial: the flat Horner kernel
+   over the cached coefficient buffer — no unpacking, no closure
+   calls.  The zero point is rejected by [Flat.point_row]. *)
 let eval_poly t poly point =
-  match t.ring.Secshare_poly.Ring.table with
-  | None -> Cyclic.eval t.ring poly point
-  | Some tab ->
-      let p = t.ring.Secshare_poly.Ring.normalize point in
-      if p = 0 then Cyclic.eval t.ring poly point
-      else
-        Secshare_poly.Flat.eval_coeffs tab
-          ~mul_row:(Secshare_poly.Flat.point_row tab ~point:p)
-          (Cyclic.view poly)
+  Secshare_poly.Flat.eval_coeffs t.tab
+    ~mul_row:
+      (Secshare_poly.Flat.point_row t.tab
+         ~point:(t.ring.Secshare_poly.Ring.normalize point))
+    (Cyclic.view poly)
 
 let client_eval t ~pre ~point =
   match t.eval_cache with
@@ -132,29 +123,10 @@ let parent t ~pre =
   | Protocol.Node_opt meta -> meta
   | response -> protocol_error "Parent" response
 
-let descendants_cursor t ~pre ~post =
-  match call t (Protocol.Descendants { pre; post }) with
-  | Protocol.Cursor id -> id
-  | response -> protocol_error "Descendants" response
-
-let cursor_next t ~cursor ~max_items =
-  match call t (Protocol.Cursor_next { cursor; max_items }) with
-  | Protocol.Batch (items, exhausted) -> (items, exhausted)
-  | response -> protocol_error "Cursor_next" response
-
 let cursor_close t cursor =
   match call t (Protocol.Cursor_close cursor) with
   | Protocol.Pong -> ()
   | response -> protocol_error "Cursor_close" response
-
-let iter_descendants t (meta : Protocol.node_meta) ~f =
-  let cursor = descendants_cursor t ~pre:meta.Protocol.pre ~post:meta.Protocol.post in
-  let rec drain () =
-    let items, exhausted = cursor_next t ~cursor ~max_items:t.batch_size in
-    List.iter f items;
-    if not exhausted then drain ()
-  in
-  drain ()
 
 (* --- fused scans (Scan_eval) --- *)
 
@@ -198,34 +170,14 @@ let filter_scan_rows t rows ~points =
       Metrics.add t.metrics batch;
       kept
 
-let descendants t meta =
-  let acc = ref [] in
-  iter_descendants t meta ~f:(fun m -> acc := m :: !acc);
-  List.rev !acc
-
 let table_stats t =
   match call t Protocol.Table_stats with
   | Protocol.Stats stats -> stats
   | response -> protocol_error "Table_stats" response
 
-let containment t (meta : Protocol.node_meta) ~point =
-  let server_value =
-    match call t (Protocol.Eval { pre = meta.Protocol.pre; point }) with
-    | Protocol.Value v -> v
-    | response -> protocol_error "Eval" response
-  in
-  t.metrics.Metrics.evaluations <- t.metrics.Metrics.evaluations + 1;
-  t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
-  let client_value = client_eval t ~pre:meta.Protocol.pre ~point in
-  Share.combine_evaluations t.ring ~client:client_value ~server:server_value = 0
-
 let containment_batch t metas ~point =
   match metas with
   | [] -> []
-  | _ when not t.batch_eval ->
-      (* one Eval round trip per node: the cost model of the paper's
-         per-call RMI filter *)
-      List.filter (fun meta -> containment t meta ~point) metas
   | _ -> (
       let pres = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) metas in
       match call t (Protocol.Eval_batch { pres; point }) with
@@ -267,23 +219,21 @@ let fetch_shares t pres =
       shares
   | response -> protocol_error "Shares" response
 
-(* The equality test's product of child polynomials.  The reference
-   fold allocates a fresh n-vector per child ([Cyclic.mul]); the
-   kernel path ping-pongs two scratch buffers through
-   [Flat.mul_into], so an arbitrarily wide node costs exactly two
-   allocations.  Same fold order, same field ops (the tables are
-   built from them) — bit-identical product. *)
+(* The equality test's product of child polynomials: two scratch
+   buffers ping-pong through [Flat.mul_into], so an arbitrarily wide
+   node costs exactly two allocations.  Same fold order and field ops
+   as a [Cyclic.mul] fold (the tables are built from them), so the
+   product is bit-identical to it. *)
 let product_of_children t child_polys =
-  match (t.ring.Secshare_poly.Ring.table, child_polys) with
-  | None, _ | _, [] ->
-      List.fold_left (Cyclic.mul t.ring) (Cyclic.one t.ring) child_polys
-  | Some tab, first :: rest ->
+  match child_polys with
+  | [] -> Cyclic.one t.ring
+  | first :: rest ->
       let n = t.ring.Secshare_poly.Ring.n in
       let acc = ref (Array.copy (Cyclic.view first)) in
       let scratch = ref (Array.make n 0) in
       List.iter
         (fun p ->
-          Secshare_poly.Flat.mul_into tab ~n ~a:!acc ~b:(Cyclic.view p)
+          Secshare_poly.Flat.mul_into t.tab ~n ~a:!acc ~b:(Cyclic.view p)
             ~out:!scratch;
           let swap = !acc in
           acc := !scratch;

@@ -19,29 +19,21 @@ exception Filter_error of string
 val create :
   Secshare_poly.Ring.t ->
   seed:Secshare_prg.Seed.t ->
-  ?batch_size:int ->
   ?scan_batch:int ->
-  ?batch_eval:bool ->
-  ?fused_scan:bool ->
   ?share_cache:int ->
   Secshare_rpc.Transport.t ->
   t
-(** [batch_size] bounds cursor batches (default 64): the client holds
-    at most one batch of node metadata at a time.  [scan_batch]
-    (default 256) bounds fused [Scan_eval] batches.  [batch_eval]
-    (default true) lets {!containment_batch} use one [Eval_batch]
-    round trip; disabling it reproduces the per-node-call cost model
-    of the paper's RMI filter (see the batching ablation).
-    [fused_scan] (default true) lets the execution pipeline use the
-    fused [Scan_eval] request — axis scan and share evaluation in one
-    message — instead of per-parent [Children] / [Descendants] calls
-    followed by a separate [Eval_batch].  [share_cache] (default 4096
+(** [scan_batch] (default 256) bounds fused [Scan_eval] batches: the
+    client holds at most one batch of scanned rows at a time.
+    [share_cache] (default 4096
     polynomials, 0 = off) bounds the LRU cache of regenerated client
     polynomials keyed by [pre]; regeneration is a pure function of the
     seed and [pre], so a cached entry is exact forever and eviction
     can only cost time, never correctness.  An evaluation memo keyed
     by [(pre, point)] rides along at 4x that capacity and is dropped
-    by {!reset_metrics}. *)
+    by {!reset_metrics}.
+    @raise Invalid_argument when the ring's field order exceeds 256
+    (see {!Share.kernel_table}). *)
 
 val metrics : t -> Metrics.t
 
@@ -50,10 +42,11 @@ val reset_metrics : t -> unit
     polynomial cache itself survives: its entries stay exact). *)
 
 val rpc_counters : t -> Secshare_rpc.Transport.counters
-val batch_size : t -> int
 val scan_batch : t -> int
-val batch_eval : t -> bool
+
 val fused_scan : t -> bool
+(** Always [true]: the fused [Scan_eval] protocol is the only one.
+    Kept because perfbench/perfbench.ml still reads it. *)
 
 val share_cache_stats : t -> Lru.stats option
 (** Hit/miss/eviction counts of the polynomial cache; [None] when the
@@ -68,27 +61,11 @@ val root : t -> Secshare_rpc.Protocol.node_meta option
 val children : t -> pre:int -> Secshare_rpc.Protocol.node_meta list
 val parent : t -> pre:int -> Secshare_rpc.Protocol.node_meta option
 
-val iter_descendants :
-  t -> Secshare_rpc.Protocol.node_meta -> f:(Secshare_rpc.Protocol.node_meta -> unit) -> unit
-(** Stream the strict descendants of a node in document order through
-    a server-side cursor. *)
-
-val descendants :
-  t -> Secshare_rpc.Protocol.node_meta -> Secshare_rpc.Protocol.node_meta list
-
-(** {2 Cursor-level access}
-
-    The streaming operators manage cursors themselves so they can stop
-    early (e.g. a satisfied [limit]) and close the server side
-    eagerly instead of waiting for TTL eviction. *)
-
-val descendants_cursor : t -> pre:int -> post:int -> int
-val cursor_next :
-  t -> cursor:int -> max_items:int -> Secshare_rpc.Protocol.node_meta list * bool
-(** Items plus whether the cursor is exhausted (exhausted cursors are
-    freed server-side). *)
-
 val cursor_close : t -> int -> unit
+(** Release a scan cursor early.  The streaming operators manage scan
+    cursors themselves so they can stop early (e.g. a satisfied
+    [limit]) and close the server side eagerly instead of waiting for
+    TTL eviction. *)
 
 (** {2 Fused scans}
 
@@ -138,17 +115,15 @@ val blind_sum : t -> int list -> int
 
 (** {2 The two tests of §5.2 / §6.3} *)
 
-val containment : t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
-(** Non-strict: does the node's subtree (including itself) contain a
-    node mapped to [point]?  One evaluation pair. *)
-
 val containment_batch :
   t ->
   Secshare_rpc.Protocol.node_meta list ->
   point:int ->
   Secshare_rpc.Protocol.node_meta list
-(** Filter a candidate list by containment at one point with a single
-    round trip (still one evaluation per node in the metrics). *)
+(** Non-strict test: keep the candidates whose subtree (including
+    the node itself) contains a node mapped to [point] — one
+    [Eval_batch] round trip, one evaluation pair per node in the
+    metrics. *)
 
 val tag_value : t -> Secshare_rpc.Protocol.node_meta -> int option
 (** Strict machinery: reconstruct the node and all its children,

@@ -5,8 +5,6 @@ module Ast = Secshare_xpath.Ast
 module Obs = Secshare_obs
 
 type client_config = {
-  rpc_batching : bool;
-  rpc_fused_scan : bool;
   share_cache : int;
   timeout : float option;
   max_retries : int;
@@ -18,8 +16,6 @@ type client_config = {
 
 let default_client_config =
   {
-    rpc_batching = true;
-    rpc_fused_scan = true;
     share_cache = 4096;
     timeout = None;
     max_retries = 0;
@@ -136,10 +132,13 @@ let local_exn t what =
       invalid_arg
         (Printf.sprintf "Database.%s: remote handle (no local server half)" what)
 
-(* Field orders past this are useless for the scheme (a share stores
-   q - 1 packed coefficients) and risk int overflow downstream; reject
-   them instead of letting [p^e] wrap around silently. *)
-let max_field_order = 1 lsl 20
+(* The field admission rule, the one place it lives: every entry
+   point (the constructors below, the encoder and server binaries, the
+   shard router) asks it before touching a file or a socket.  Both
+   filters evaluate shares only through the flat byte-table kernels,
+   which exist exactly for q <= 256.  [p^e] is built by repeated
+   multiplication against the bound, so a huge [e] cannot wrap it. *)
+let max_field_order = 256
 
 let checked_field_order ~p ~e =
   let rec go acc i =
@@ -147,11 +146,15 @@ let checked_field_order ~p ~e =
     else if acc > max_field_order / p then
       Error
         (Printf.sprintf
-           "p^e = %d^%d exceeds the safe field-order bound of %d (would overflow)" p e
-           max_field_order)
+           "p^e = %d^%d exceeds the field-order bound of %d (the share kernels need q \
+            <= %d)"
+           p e max_field_order max_field_order)
     else go (acc * p) (i - 1)
   in
-  go 1 e
+  if not (Secshare_field.Prime.is_prime p) then
+    Error (Printf.sprintf "p = %d is not prime" p)
+  else if e < 1 then Error "e must be >= 1"
+  else go 1 e
 
 let build_mapping config ~q tree =
   let base =
@@ -175,24 +178,14 @@ let assemble_local ~(client : client_config) ~ring ~map ~seed ~table ?numbers
       ?slow_query_ms:client.slow_query_ms ~workers:client.workers ?numbers ring table
   in
   let transport = Transport.local ~handler:(Server_filter.handler server) in
-  let filter =
-    Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
-      ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache transport
-  in
+  let filter = Client_filter.create ring ~seed ~share_cache:client.share_cache transport in
   { ring; map; seed; filter; local = Some { table; numbers; server; encode_stats } }
 
 let create_tree ?(config = default_config) tree =
-  match
-    if not (Secshare_field.Prime.is_prime config.p) then
-      Error (Printf.sprintf "p = %d is not prime" config.p)
-    else if config.e < 1 then Error "e must be >= 1"
-    else
-      match checked_field_order ~p:config.p ~e:config.e with
-      | Error _ as e -> e
-      | Ok q -> Ok (Ring.of_prime_power ~p:config.p ~e:config.e, q)
-  with
+  match checked_field_order ~p:config.p ~e:config.e with
   | Error _ as e -> e
-  | Ok (ring, q) -> (
+  | Ok q -> (
+      let ring = Ring.of_prime_power ~p:config.p ~e:config.e in
       match build_mapping config ~q tree with
       | Error _ as e -> e
       | Ok map -> (
@@ -225,17 +218,13 @@ let zero_encode_stats =
 
 let of_parts ?(client = default_client_config) ~p ~e ~mapping:map ~seed ~table ?numbers
     () =
-  if not (Secshare_field.Prime.is_prime p) then
-    Error (Printf.sprintf "p = %d is not prime" p)
-  else if e < 1 then Error "e must be >= 1"
-  else
-    match checked_field_order ~p ~e with
-    | Error _ as err -> err
-    | Ok _ ->
-        let ring = Ring.of_prime_power ~p ~e in
-        Ok
-          (assemble_local ~client ~ring ~map ~seed ~table ?numbers
-             ~encode_stats:zero_encode_stats ())
+  match checked_field_order ~p ~e with
+  | Error _ as err -> err
+  | Ok _ ->
+      let ring = Ring.of_prime_power ~p ~e in
+      Ok
+        (assemble_local ~client ~ring ~map ~seed ~table ?numbers
+           ~encode_stats:zero_encode_stats ())
 
 let create ?config xml =
   match Secshare_xml.Tree.of_string xml with
@@ -404,19 +393,12 @@ let cursor_stats t = Server_filter.cursor_stats (local_exn t "cursor_stats").ser
 let sweep_cursors t = Server_filter.sweep_cursors (local_exn t "sweep_cursors").server
 
 let of_transport ?(client = default_client_config) ~p ~e ~mapping ~seed transport =
-  if not (Secshare_field.Prime.is_prime p) then
-    Error (Printf.sprintf "p = %d is not prime" p)
-  else
-    match checked_field_order ~p ~e with
-    | Error _ as err -> err
-    | Ok _ ->
-        let ring = Ring.of_prime_power ~p ~e in
-        let filter =
-          Client_filter.create ring ~seed ~batch_eval:client.rpc_batching
-            ~fused_scan:client.rpc_fused_scan ~share_cache:client.share_cache
-            transport
-        in
-        Ok { ring; map = mapping; seed; filter; local = None }
+  match checked_field_order ~p ~e with
+  | Error _ as err -> err
+  | Ok _ ->
+      let ring = Ring.of_prime_power ~p ~e in
+      let filter = Client_filter.create ring ~seed ~share_cache:client.share_cache transport in
+      Ok { ring; map = mapping; seed; filter; local = None }
 
 let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
   let policy =
@@ -426,9 +408,12 @@ let connect ?(client = default_client_config) ~p ~e ~mapping ~seed ~path () =
       max_retries = client.max_retries;
     }
   in
-  match Transport.socket ~policy path with
-  | Error msg -> Error ("connect: " ^ msg)
-  | Ok transport -> of_transport ~client ~p ~e ~mapping ~seed transport
+  match checked_field_order ~p ~e with
+  | Error _ as err -> err
+  | Ok _ -> (
+      match Transport.socket ~policy path with
+      | Error msg -> Error ("connect: " ^ msg)
+      | Ok transport -> of_transport ~client ~p ~e ~mapping ~seed transport)
 
 let close t =
   Client_filter.close t.filter;
@@ -500,25 +485,34 @@ let open_bundle ?client ?durable ?checkpoint_every ~dir () =
       match parse_bundle_config contents with
       | Error _ as e -> e
       | Ok (p, e) -> (
-          match Mapping.load (Filename.concat dir "client.map") with
-          | Error msg -> Error ("map: " ^ msg)
-          | Ok mapping -> (
-              match Secshare_prg.Seed.load (Filename.concat dir "client.seed") with
-              | Error msg -> Error ("seed: " ^ msg)
-              | Ok seed -> (
-                  match
-                    Node_table.open_file ?durable ?checkpoint_every
-                      (Filename.concat dir "shares.db")
-                  with
-                  | Error msg -> Error ("shares: " ^ msg)
-                  | Ok table -> (
-                      let nums_path = Filename.concat dir "nums.db" in
-                      if not (Sys.file_exists nums_path) then
-                        of_parts ?client ~p ~e ~mapping ~seed ~table ()
-                      else
-                        match
-                          Node_table.open_file ?durable ?checkpoint_every nums_path
-                        with
-                        | Error msg -> Error ("nums: " ^ msg)
-                        | Ok numbers ->
-                            of_parts ?client ~p ~e ~mapping ~seed ~table ~numbers ())))))
+          match checked_field_order ~p ~e with
+          | Error _ as err -> err
+          | Ok q -> (
+              match Mapping.load (Filename.concat dir "client.map") with
+              | Error msg -> Error ("map: " ^ msg)
+              | Ok mapping when Mapping.field_order mapping > q ->
+                  (* mapped values would not be elements of the field *)
+                  Error
+                    (Printf.sprintf "map: declares q = %d but the bundle's field has q = %d"
+                       (Mapping.field_order mapping) q)
+              | Ok mapping -> (
+                  match Secshare_prg.Seed.load (Filename.concat dir "client.seed") with
+                  | Error msg -> Error ("seed: " ^ msg)
+                  | Ok seed -> (
+                      match
+                        Node_table.open_file ?durable ?checkpoint_every
+                          (Filename.concat dir "shares.db")
+                      with
+                      | Error msg -> Error ("shares: " ^ msg)
+                      | Ok table -> (
+                          let nums_path = Filename.concat dir "nums.db" in
+                          if not (Sys.file_exists nums_path) then
+                            of_parts ?client ~p ~e ~mapping ~seed ~table ()
+                          else
+                            match
+                              Node_table.open_file ?durable ?checkpoint_every nums_path
+                            with
+                            | Error msg -> Error ("nums: " ^ msg)
+                            | Ok numbers ->
+                                of_parts ?client ~p ~e ~mapping ~seed ~table
+                                  ~numbers ()))))))

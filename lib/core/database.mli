@@ -13,24 +13,14 @@
     handle.
 
     Every client-side knob enters through one {!client_config} record
-    — transport batching, the share-regeneration cache, socket
-    deadlines and retries, server cursor policy and the evaluation
-    worker pool — so a configuration can be built once and reused
+    — the share-regeneration cache, socket deadlines and retries,
+    server cursor policy and the evaluation worker pool — so a configuration can be built once and reused
     across {!create}, {!of_parts}, {!connect} and {!open_bundle}. *)
 
 type t
 (** A client handle, local or remote. *)
 
 type client_config = {
-  rpc_batching : bool;
-      (** batch containment evaluations into one round trip (default
-          true); disable to reproduce the per-node-call cost model of
-          the paper's RMI filter *)
-  rpc_fused_scan : bool;
-      (** let the execution pipeline use the fused [Scan_eval] request
-          — axis scan and share evaluation in one message — instead
-          of per-parent [Children] / cursor calls followed by a
-          separate evaluation round trip (default true) *)
   share_cache : int;
       (** capacity, in polynomials, of the client's LRU cache over
           regenerated share polynomials (default 4096; 0 disables).
@@ -64,6 +54,15 @@ type client_config = {
 val default_client_config : client_config
 (** The defaults spelled out above; build variations with record
     update syntax: [{ default_client_config with workers = 4 }]. *)
+
+val checked_field_order : p:int -> e:int -> (int, string) result
+(** The field admission rule every entry point applies before it
+    touches a file or a socket: [p] prime, [e >= 1] and
+    [q = p^e <= 256] (the share kernels run over flat byte tables that
+    exist only for such fields).  [Ok q] on success; the error names
+    the violated bound.  The constructors below, [ssdb_encode],
+    [ssdb_server], [ssdb_query] and [Router.connect] all go through
+    it. *)
 
 type config = {
   p : int;  (** field characteristic (a prime); default 83 *)
@@ -261,7 +260,9 @@ val open_bundle :
   dir:string ->
   unit ->
   (t, string) result
-(** Reopen a saved bundle.  If [shares.db.wal] holds records from a
+(** Reopen a saved bundle.  Before any page file is opened, the
+    bundle's field must pass {!checked_field_order} and the map must
+    declare no larger [q] than that field.  If [shares.db.wal] holds records from a
     crashed writer, recovery replays them before the handle is
     returned ({!Secshare_store.Node_table.recovery_stats} on {!table}
     reports what was redone).  [durable]/[checkpoint_every] keep the

@@ -203,9 +203,9 @@ let document_node_source () =
       end)
 
 let scan_root name filter ~eval =
-  match (eval, Client_filter.fused_scan filter) with
-  | Some point, true ->
-      let stats = Metrics.op_stats name in
+  let stats = Metrics.op_stats name in
+  match eval with
+  | Some point ->
       let next_batch, close =
         fused_scan_stream filter stats ~points:[ point ]
           ~target_of_batch:(fun batch ->
@@ -213,130 +213,48 @@ let scan_root name filter ~eval =
           (document_node_source ())
       in
       make ~close stats next_batch
-  | _ ->
-      let stats = Metrics.op_stats name in
+  | None ->
       let emitted = ref false in
       make stats (fun () ->
           if !emitted then None
           else begin
             emitted := true;
-            match with_rpc filter stats (fun () -> Client_filter.root filter) with
-            | None -> None
-            | Some root -> (
-                match eval with
-                | None -> Some [| root |]
-                | Some point ->
-                    Some (Array.of_list (contains_all filter stats [ root ] [ point ])))
+            Option.map
+              (fun root -> [| root |])
+              (with_rpc filter stats (fun () -> Client_filter.root filter))
           end)
 
 let scan_children name filter ~eval input =
   let stats = Metrics.op_stats name in
-  if Client_filter.fused_scan filter then
-    let next_batch, close =
-      fused_scan_stream filter stats ~points:(Option.to_list eval)
-        ~target_of_batch:(fun batch ->
-          if Array.length batch = 0 then None
-          else Some (Protocol.Children_of (pres_of (Array.to_list batch))))
-        input
-    in
-    make ~close stats next_batch
-  else
-    let rec next_batch () =
-      match pull stats input with
-      | None -> None
-      | Some parents -> (
-          let children =
-            List.concat_map
-              (fun (m : Protocol.node_meta) ->
-                with_rpc filter stats (fun () ->
-                    Client_filter.children filter ~pre:m.Protocol.pre))
-              (Array.to_list parents)
-          in
-          let children =
-            match eval with
-            | None -> children
-            | Some point -> contains_all filter stats children [ point ]
-          in
-          match children with
-          | [] -> next_batch ()
-          | _ -> Some (Array.of_list children))
-    in
-    make stats next_batch
+  let next_batch, close =
+    fused_scan_stream filter stats ~points:(Option.to_list eval)
+      ~target_of_batch:(fun batch ->
+        if Array.length batch = 0 then None
+        else Some (Protocol.Children_of (pres_of (Array.to_list batch))))
+      input
+  in
+  make ~close stats next_batch
 
+(* Subtree ranges against the accelerator encoding: descendants of v
+   are exactly the rows with pre > v.pre and post < v.post; the +self
+   variant starts at v.pre and admits post = v.post. *)
 let scan_descendants name filter ~eval ~include_self input =
   let stats = Metrics.op_stats name in
-  if Client_filter.fused_scan filter then
-    (* subtree ranges against the accelerator encoding: descendants of
-       v are exactly the rows with pre > v.pre and post < v.post; the
-       +self variant starts at v.pre and admits post = v.post *)
-    let next_batch, close =
-      fused_scan_stream filter stats ~points:(Option.to_list eval)
-        ~target_of_batch:(fun batch ->
-          if Array.length batch = 0 then None
-          else
-            Some
-              (Protocol.Pre_ranges
-                 (List.map
-                    (fun (m : Protocol.node_meta) ->
-                      if include_self then (m.Protocol.pre, m.Protocol.post + 1)
-                      else (m.Protocol.pre + 1, m.Protocol.post))
-                    (Array.to_list batch))))
-        input
-    in
-    make ~close stats next_batch
-  else begin
-    (* one server cursor per source node, streamed in cursor batches *)
-    let pending = ref [] in
-    let current = ref None in
-    let apply metas =
-      match eval with
-      | None -> metas
-      | Some point -> contains_all filter stats metas [ point ]
-    in
-    let rec next_batch () =
-      match !current with
-      | Some c -> (
-          let items, exhausted =
-            with_rpc filter stats (fun () ->
-                Client_filter.cursor_next filter ~cursor:c
-                  ~max_items:(Client_filter.batch_size filter))
-          in
-          if exhausted then current := None;
-          match apply items with
-          | [] -> next_batch ()
-          | metas -> Some (Array.of_list metas))
-      | None -> (
-          match !pending with
-          | (m : Protocol.node_meta) :: rest ->
-              pending := rest;
-              current :=
-                Some
-                  (with_rpc filter stats (fun () ->
-                       Client_filter.descendants_cursor filter ~pre:m.Protocol.pre
-                         ~post:m.Protocol.post));
-              next_batch ()
-          | [] -> (
-              match pull stats input with
-              | None -> None
-              | Some batch -> (
-                  let sources = Array.to_list batch in
-                  pending := sources;
-                  if not include_self then next_batch ()
-                  else
-                    match apply sources with
-                    | [] -> next_batch ()
-                    | metas -> Some (Array.of_list metas))))
-    in
-    let close () =
-      match !current with
-      | Some c ->
-          current := None;
-          (try Client_filter.cursor_close filter c
-           with Client_filter.Filter_error _ -> ())
-      | None -> ()
-    in
-    make ~close stats next_batch
-  end
+  let next_batch, close =
+    fused_scan_stream filter stats ~points:(Option.to_list eval)
+      ~target_of_batch:(fun batch ->
+        if Array.length batch = 0 then None
+        else
+          Some
+            (Protocol.Pre_ranges
+               (List.map
+                  (fun (m : Protocol.node_meta) ->
+                    if include_self then (m.Protocol.pre, m.Protocol.post + 1)
+                    else (m.Protocol.pre + 1, m.Protocol.post))
+                  (Array.to_list batch))))
+      input
+  in
+  make ~close stats next_batch
 
 (* The advanced engine's look-ahead walk: descend level by level from
    the source nodes, keeping (and descending into) only children whose
@@ -346,57 +264,43 @@ let scan_descendants name filter ~eval ~include_self input =
    level's survivors. *)
 let pruned_scan name filter ~prune ~include_self input =
   let stats = Metrics.op_stats name in
-  let fused = Client_filter.fused_scan filter in
   let started = ref false in
   let frontier = ref [] in
   let open_cursor = ref None in
+  (* One level: a child scan carrying the first prune point, drained
+     batch by batch in document order; the remaining points drop out
+     in [Eval_batch] rounds. *)
   let gather_level level =
-    if fused then begin
-      (* first prune point rides in the scan; the rest drop out via
-         [Eval_batch] rounds like the unfused path *)
-      let points, rest =
-        match prune with [] -> ([], []) | p :: rest -> ([ p ], rest)
-      in
-      let max_items = Client_filter.scan_batch filter in
-      let acc = ref [] in
-      let rows, k =
-        with_rpc filter stats (fun () ->
-            Client_filter.scan_eval filter
-              ~target:(Protocol.Children_of (pres_of level))
-              ~points ~max_items)
-      in
-      let merge rows =
-        stats.Metrics.eval_pairs <-
-          stats.Metrics.eval_pairs + (List.length rows * List.length points);
-        Client_filter.filter_scan_rows filter rows ~points
-      in
-      acc := merge rows;
-      open_cursor := k;
-      let cursor = ref k in
-      while !cursor <> None do
-        match !cursor with
-        | None -> ()
-        | Some c ->
-            let rows, k =
-              with_rpc filter stats (fun () ->
-                  Client_filter.scan_next filter ~cursor:c ~max_items)
-            in
-            cursor := k;
-            open_cursor := k;
-            acc := List.rev_append (merge rows) !acc
-      done;
-      contains_all filter stats (List.rev !acc) rest
-    end
-    else
-      let children =
-        Query_common.sort_dedup
-          (List.concat_map
-             (fun (m : Protocol.node_meta) ->
-               with_rpc filter stats (fun () ->
-                   Client_filter.children filter ~pre:m.Protocol.pre))
-             level)
-      in
-      contains_all filter stats children prune
+    let points, rest = match prune with [] -> ([], []) | p :: rest -> ([ p ], rest) in
+    let max_items = Client_filter.scan_batch filter in
+    let merge rows =
+      stats.Metrics.eval_pairs <-
+        stats.Metrics.eval_pairs + (List.length rows * List.length points);
+      Client_filter.filter_scan_rows filter rows ~points
+    in
+    let rows, k =
+      with_rpc filter stats (fun () ->
+          Client_filter.scan_eval filter
+            ~target:(Protocol.Children_of (pres_of level))
+            ~points ~max_items)
+    in
+    (* [acc] holds the survivors in reverse document order *)
+    let acc = ref (List.rev (merge rows)) in
+    open_cursor := k;
+    let cursor = ref k in
+    while !cursor <> None do
+      match !cursor with
+      | None -> ()
+      | Some c ->
+          let rows, k =
+            with_rpc filter stats (fun () ->
+                Client_filter.scan_next filter ~cursor:c ~max_items)
+          in
+          cursor := k;
+          open_cursor := k;
+          acc := List.rev_append (merge rows) !acc
+    done;
+    contains_all filter stats (List.rev !acc) rest
   in
   let emit_level () =
     match !frontier with

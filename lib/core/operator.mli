@@ -19,10 +19,10 @@ type batch = Secshare_rpc.Protocol.node_meta array
 
 val build : Client_filter.t -> Plan.t -> t list
 (** Operators in plan order; the last element is the sink to drain.
-    Whether scans use the fused [Scan_eval] protocol or per-parent
-    [Children] / cursor calls follows
-    {!Client_filter.fused_scan}. @raise Invalid_argument on a plan
-    whose first operator is not a source. *)
+    Every axis scan runs on the fused [Scan_eval] protocol (a root
+    scan without a fused point is one [Root] call).
+    @raise Invalid_argument on a plan whose first operator is not a
+    source. *)
 
 val next : t -> batch option
 (** One batch, or [None] when the stream is dry.  Batches are

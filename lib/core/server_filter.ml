@@ -22,7 +22,7 @@ let obs_cursors_opened =
 
 let obs_queries =
   Obs.Registry.counter
-    ~help:"Query-opening requests handled (scan_eval and descendants)."
+    ~help:"Query-opening requests handled (scan_eval)."
     "ssdb_server_queries_total"
 
 let obs_slow_queries =
@@ -31,14 +31,14 @@ let obs_slow_queries =
     "ssdb_server_slow_queries_total"
 
 (* A fused scan in flight: what remains to be walked, plus the points
-   every emitted row is evaluated at.  Unlike the legacy [Descendants]
-   buffer, nothing is materialized up front — the scan resumes from
-   the node table one batch at a time (the resumable range-scan API),
-   so an abandoned scan pins no row memory. *)
+   every emitted row is evaluated at.  Nothing is materialized up
+   front — the scan resumes from the node table one batch at a time
+   (the resumable range-scan API), so an abandoned scan pins no row
+   memory. *)
 type scan_state = {
-  points : int list;
-  point_tabs : point_tabs;
-      (** per-query evaluation tables, precomputed once per scan *)
+  point_rows : Bytes.t list;
+      (** one multiplication-table row per query point, precomputed
+          once per scan (the flat kernel, DESIGN.md §13) *)
   mutable pending_parents : int list;  (** Children_of mode *)
   mutable buffered_rows : Page.row list;  (** children fetched but not yet sent *)
   mutable current_range : (int * int * int) option;
@@ -47,32 +47,15 @@ type scan_state = {
   mutable pending_ranges : (int * int * int) list;
 }
 
-(* The flat-kernel plumbing (DESIGN.md §13): when the ring carries
-   byte op-tables (always true for the paper's F_83; any q <= 256), a
-   scan precomputes one multiplication-table row per query point and
-   every row evaluation becomes an allocation-free Horner pass
-   straight over the packed share bytes.  [None] per point marks the
-   zero point, which must keep raising exactly like the reference
-   path ([Cyclic.eval]) — we defer to it on first use. *)
-and point_tabs =
-  | Reference  (** no tables: closure-based unpack + eval *)
-  | Kernel of Secshare_field.Table.t * Bytes.t option list
-
-type cursor_state =
-  | Buffered of Protocol.node_meta list  (** legacy [Descendants] buffer *)
-  | Scanning of scan_state
-
-(* Besides its payload, a cursor carries the accounting the slow-query
+(* Besides its scan, a cursor carries the accounting the slow-query
    log reports when its lifetime ends: nothing here derives from query
-   plaintext — opcode names, counts, sizes and times only. *)
+   plaintext — counts, sizes and times only. *)
 type cursor = {
-  mutable state : cursor_state;
+  scan : scan_state;
   mutable last_used : float;
   created : float;
   trace_id : int64;  (** the opener's ambient trace; 0 = untraced *)
-  opened_op : string;
-  next_op : string;  (** the opcode that drains this cursor *)
-  mutable next_calls : int;
+  mutable next_calls : int;  (** [Scan_next] requests served *)
   mutable batches : int;
   mutable rows : int;
   mutable resp_bytes : int;  (** approximate response payload bytes *)
@@ -86,6 +69,7 @@ type cursor_stats = {
 
 type t = {
   ring : Secshare_poly.Ring.t;
+  tab : Secshare_field.Table.t;  (** the ring's flat op-tables *)
   table : Node_table.t;
   cursors : (int, cursor) Hashtbl.t;
   mutable next_cursor : int;
@@ -109,6 +93,7 @@ let create ?cursor_ttl ?(max_cursors = 1024) ?slow_query_ms ?(now = Unix.gettime
     ?(workers = 1) ?manifest ?numbers ring table =
   {
     ring;
+    tab = Share.kernel_table ring;
     table;
     cursors = Hashtbl.create 16;
     next_cursor = 1;
@@ -130,39 +115,16 @@ let close t = Pool.close t.pool
 let meta_of_row (row : Page.row) =
   { Protocol.pre = row.Page.pre; post = row.Page.post; parent = row.Page.parent }
 
-let kernel t = t.ring.Secshare_poly.Ring.table
+(* A query point's multiplication-table row: every share evaluation
+   at that point is then an allocation-free Horner pass straight over
+   the packed share bytes.  The zero point raises [Invalid_argument]
+   here, which the handler turns into an [Error_msg]. *)
+let point_row t point =
+  Secshare_poly.Flat.point_row t.tab ~point:(t.ring.Secshare_poly.Ring.normalize point)
 
-(* Reference path: per-row unpack into an int array, then Horner over
-   the ring's closure-cached field operations.  Kept as the fallback
-   for rings without byte tables (q > 256) and for the zero point,
-   whose [Invalid_argument] the kernels must reproduce exactly. *)
-let eval_share_ref t (row : Page.row) point =
-  let poly = Secshare_poly.Codec.unpack_cyclic t.ring row.Page.share in
-  Secshare_poly.Cyclic.eval t.ring poly point
-
-let point_tabs t points =
-  match kernel t with
-  | None -> Reference
-  | Some tab ->
-      Kernel
-        ( tab,
-          List.map
-            (fun point ->
-              let p = t.ring.Secshare_poly.Ring.normalize point in
-              if p = 0 then None
-              else Some (Secshare_poly.Flat.point_row tab ~point:p))
-            points )
-
-let eval_share t (row : Page.row) point =
-  match kernel t with
-  | None -> eval_share_ref t row point
-  | Some tab ->
-      let p = t.ring.Secshare_poly.Ring.normalize point in
-      if p = 0 then eval_share_ref t row point
-      else
-        Secshare_poly.Flat.eval_share tab
-          ~mul_row:(Secshare_poly.Flat.point_row tab ~point:p)
-          ~n:t.ring.Secshare_poly.Ring.n row.Page.share
+let eval_share t ~mul_row (row : Page.row) =
+  Secshare_poly.Flat.eval_share t.tab ~mul_row ~n:t.ring.Secshare_poly.Ring.n
+    row.Page.share
 
 let with_lock t f =
   Mutex.lock t.lock;
@@ -187,8 +149,8 @@ let reason_label = function
    Everything in it is safe under the information-flow argument
    (DESIGN.md §9): trace id, opcode names, counts, sizes, duration —
    never evaluation points, pre/post numbers, or share values. *)
-let maybe_log_slow t ~trace_id ~cursor ~opened_op ~next_op ~next_calls ~batches ~rows
-    ~resp_bytes ~duration ~reason =
+let maybe_log_slow t ~trace_id ~cursor ~next_calls ~batches ~rows ~resp_bytes ~duration
+    ~reason =
   match t.slow_query_ms with
   | None -> ()
   | Some threshold_ms ->
@@ -196,8 +158,8 @@ let maybe_log_slow t ~trace_id ~cursor ~opened_op ~next_op ~next_calls ~batches 
       if ms >= threshold_ms then begin
         Obs.Registry.inc obs_slow_queries;
         let ops =
-          if next_calls = 0 then Printf.sprintf "%s:1" opened_op
-          else Printf.sprintf "%s:1,%s:%d" opened_op next_op next_calls
+          if next_calls = 0 then "scan_eval:1"
+          else Printf.sprintf "scan_eval:1,scan_next:%d" next_calls
         in
         Obs.Events.info
           "slow-query trace=%016Lx cursor=%s ops=%s batches=%d rows=%d bytes=%d \
@@ -220,9 +182,8 @@ let finish_cursor_locked t id c ~reason =
            ~labels:[ ("reason", reason_label reason) ]
            "ssdb_server_cursor_evictions_total")
   | Drained | Client_close -> ());
-  maybe_log_slow t ~trace_id:c.trace_id ~cursor:(Some id) ~opened_op:c.opened_op
-    ~next_op:c.next_op ~next_calls:c.next_calls ~batches:c.batches ~rows:c.rows
-    ~resp_bytes:c.resp_bytes
+  maybe_log_slow t ~trace_id:c.trace_id ~cursor:(Some id) ~next_calls:c.next_calls
+    ~batches:c.batches ~rows:c.rows ~resp_bytes:c.resp_bytes
     ~duration:(t.now () -. c.created)
     ~reason:(reason_label reason)
 
@@ -268,20 +229,17 @@ let enforce_cap_locked t =
 (* Register a cursor under a fresh id, seeded with the accounting of
    whatever the opening request already returned.  Called with the
    lock held, on the thread that carries the opener's ambient trace. *)
-let register_cursor_locked t state ~opened_op ~next_op ~created ~batches ~rows
-    ~resp_bytes =
+let register_cursor_locked t scan ~created ~batches ~rows ~resp_bytes =
   ignore (sweep_locked t);
   enforce_cap_locked t;
   let id = t.next_cursor in
   t.next_cursor <- t.next_cursor + 1;
   Hashtbl.replace t.cursors id
     {
-      state;
+      scan;
       last_used = t.now ();
       created;
       trace_id = Obs.Trace.current_id ();
-      opened_op;
-      next_op;
       next_calls = 0;
       batches;
       rows;
@@ -310,27 +268,12 @@ let dedup_ranges ranges =
   in
   keep min_int sorted
 
-(* Evaluate one row's share at every point of the scan.  With kernel
-   tables the share is never unpacked: each point's precomputed table
-   row drives a Horner pass directly over the packed bytes.  Pure:
-   reads only the immutable row payload, so it is safe on any pool
-   worker. *)
+(* Evaluate one row's share at every point of the scan: the share is
+   never unpacked, each point's precomputed table row drives a Horner
+   pass directly over the packed bytes.  Pure: reads only the
+   immutable row payload, so it is safe on any pool worker. *)
 let row_values t (scan : scan_state) (row : Page.row) =
-  match (scan.points, scan.point_tabs) with
-  | [], _ -> (meta_of_row row, [])
-  | points, Kernel (tab, rows_tabs) ->
-      let n = t.ring.Secshare_poly.Ring.n in
-      ( meta_of_row row,
-        List.map2
-          (fun point mul_row ->
-            match mul_row with
-            | Some mul_row ->
-                Secshare_poly.Flat.eval_share tab ~mul_row ~n row.Page.share
-            | None -> eval_share_ref t row point)
-          points rows_tabs )
-  | points, Reference ->
-      let poly = Secshare_poly.Codec.unpack_cyclic t.ring row.Page.share in
-      (meta_of_row row, List.map (Secshare_poly.Cyclic.eval t.ring poly) points)
+  (meta_of_row row, List.map (fun mul_row -> eval_share t ~mul_row row) scan.point_rows)
 
 (* Fan a batch's share evaluations out across the worker pool.  Called
    OUTSIDE the cursor lock: evaluation is the dominant cost of a scan
@@ -400,59 +343,15 @@ let handle t (request : Protocol.request) : Protocol.response =
       Protocol.Nodes (List.map meta_of_row (Node_table.children t.table ~parent))
   | Protocol.Parent pre ->
       Protocol.Node_opt (Option.map meta_of_row (Node_table.parent_of t.table ~pre))
-  | Protocol.Descendants { pre; post } ->
-      Obs.Registry.inc obs_queries;
-      let started = t.now () in
-      (* The server buffers the intermediate result; the client drains
-         it one batch at a time (nextNode). *)
-      let items =
-        List.rev
-          (Node_table.fold_descendants t.table ~pre ~post ~init:[] ~f:(fun acc row ->
-               meta_of_row row :: acc))
-      in
-      with_lock t (fun () ->
-          Protocol.Cursor
-            (register_cursor_locked t (Buffered items) ~opened_op:"descendants"
-               ~next_op:"cursor_next" ~created:started ~batches:0 ~rows:0 ~resp_bytes:0))
-  | Protocol.Cursor_next { cursor; max_items } ->
-      with_lock t (fun () ->
-          ignore (sweep_locked t);
-          match Hashtbl.find_opt t.cursors cursor with
-          | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor)
-          | Some ({ state = Scanning _; _ } as c) ->
-              c.last_used <- t.now ();
-              Protocol.Error_msg
-                (Printf.sprintf "cursor %d is a scan cursor (use Scan_next)" cursor)
-          | Some ({ state = Buffered items; _ } as c) ->
-              let max_items = max 1 max_items in
-              let rec take n items =
-                if n = 0 then ([], items)
-                else
-                  match items with
-                  | [] -> ([], [])
-                  | x :: rest ->
-                      let taken, remaining = take (n - 1) rest in
-                      (x :: taken, remaining)
-              in
-              let batch, remaining = take max_items items in
-              c.state <- Buffered remaining;
-              c.last_used <- t.now ();
-              c.next_calls <- c.next_calls + 1;
-              c.batches <- c.batches + 1;
-              c.rows <- c.rows + List.length batch;
-              c.resp_bytes <- c.resp_bytes + (12 * List.length batch);
-              let exhausted = remaining = [] in
-              if exhausted then finish_cursor_locked t cursor c ~reason:Drained;
-              Protocol.Batch (batch, exhausted))
   | Protocol.Scan_eval { target; points; max_items } ->
       Obs.Registry.inc obs_queries;
       let started = t.now () in
+      let point_rows = List.map (point_row t) points in
       let scan =
         match target with
         | Protocol.Children_of parents ->
             {
-              points;
-              point_tabs = point_tabs t points;
+              point_rows;
               pending_parents = List.sort_uniq compare parents;
               buffered_rows = [];
               current_range = None;
@@ -460,8 +359,7 @@ let handle t (request : Protocol.request) : Protocol.response =
             }
         | Protocol.Pre_ranges ranges ->
             {
-              points;
-              point_tabs = point_tabs t points;
+              point_rows;
               pending_parents = [];
               buffered_rows = [];
               current_range = None;
@@ -472,16 +370,12 @@ let handle t (request : Protocol.request) : Protocol.response =
             (* Router-issued pieces: already disjoint, just ordered;
                empty windows are dropped rather than scanned. *)
             {
-              points;
-              point_tabs = point_tabs t points;
+              point_rows;
               pending_parents = [];
               buffered_rows = [];
               current_range = None;
               pending_ranges =
-                List.filter
-                  (fun (a, u, _) -> a < u)
-                  (List.sort compare
-                     (List.map (fun (a, u, b) -> (a, u, b)) ranges));
+                List.filter (fun (a, u, _) -> a < u) (List.sort compare ranges);
             }
       in
       (* The scan is still private (no cursor registered), and table
@@ -496,8 +390,7 @@ let handle t (request : Protocol.request) : Protocol.response =
            slow-query check happens inline *)
         maybe_log_slow t
           ~trace_id:(Obs.Trace.current_id ())
-          ~cursor:None ~opened_op:"scan_eval" ~next_op:"scan_next" ~next_calls:0
-          ~batches:1 ~rows:(List.length rows) ~resp_bytes:bytes
+          ~cursor:None ~next_calls:0 ~batches:1 ~rows:(List.length rows) ~resp_bytes:bytes
           ~duration:(t.now () -. started)
           ~reason:"drained";
         Protocol.Scan_batch { rows; cursor = None }
@@ -505,8 +398,7 @@ let handle t (request : Protocol.request) : Protocol.response =
       else
         with_lock t (fun () ->
             let id =
-              register_cursor_locked t (Scanning scan) ~opened_op:"scan_eval"
-                ~next_op:"scan_next" ~created:started ~batches:1
+              register_cursor_locked t scan ~created:started ~batches:1
                 ~rows:(List.length rows) ~resp_bytes:bytes
             in
             Protocol.Scan_batch { rows; cursor = Some id })
@@ -520,11 +412,9 @@ let handle t (request : Protocol.request) : Protocol.response =
             ignore (sweep_locked t);
             match Hashtbl.find_opt t.cursors cursor with
             | None -> Error (Printf.sprintf "unknown cursor %d" cursor)
-            | Some { state = Buffered _; _ } ->
-                Error (Printf.sprintf "cursor %d is a batch cursor (use Cursor_next)" cursor)
-            | Some ({ state = Scanning scan; _ } as c) ->
+            | Some c ->
                 c.last_used <- t.now ();
-                Ok (scan, scan_collect t scan ~max_items:(max 1 max_items)))
+                Ok (c.scan, scan_collect t c.scan ~max_items:(max 1 max_items)))
       in
       match step with
       | Error msg -> Protocol.Error_msg msg
@@ -537,13 +427,13 @@ let handle t (request : Protocol.request) : Protocol.response =
              already closed its accounting lifetime, so skip it here. *)
           with_lock t (fun () ->
               match Hashtbl.find_opt t.cursors cursor with
-              | Some ({ state = Scanning _; _ } as c) ->
+              | Some c ->
                   c.next_calls <- c.next_calls + 1;
                   c.batches <- c.batches + 1;
                   c.rows <- c.rows + List.length rows;
                   c.resp_bytes <- c.resp_bytes + batch_bytes rows;
                   if done_ then finish_cursor_locked t cursor c ~reason:Drained
-              | Some _ | None -> ());
+              | None -> ());
           Protocol.Scan_batch
             { rows; cursor = (if done_ then None else Some cursor) })
   | Protocol.Cursor_close cursor ->
@@ -552,10 +442,6 @@ let handle t (request : Protocol.request) : Protocol.response =
           | Some c -> finish_cursor_locked t cursor c ~reason:Client_close
           | None -> ());
           Protocol.Pong)
-  | Protocol.Eval { pre; point } -> (
-      match Node_table.find_by_pre t.table pre with
-      | None -> Protocol.Error_msg (Printf.sprintf "unknown node pre=%d" pre)
-      | Some row -> Protocol.Value (eval_share t row point))
   | Protocol.Eval_batch { pres; point } -> (
       (* row lookups stay on the handler thread (cheap, latch-striped);
          the evaluations fan out across the pool *)
@@ -570,23 +456,9 @@ let handle t (request : Protocol.request) : Protocol.response =
       | rows ->
           (* one evaluation table for the whole batch; each pool task
              is then a single allocation-free Horner pass *)
-          let eval_one =
-            match kernel t with
-            | Some tab
-              when t.ring.Secshare_poly.Ring.normalize point <> 0 ->
-                let p = t.ring.Secshare_poly.Ring.normalize point in
-                let mul_row = Secshare_poly.Flat.point_row tab ~point:p in
-                let n = t.ring.Secshare_poly.Ring.n in
-                fun (row : Page.row) ->
-                  Secshare_poly.Flat.eval_share tab ~mul_row ~n row.Page.share
-            | Some _ | None -> fun row -> eval_share_ref t row point
-          in
-          Protocol.Values (Pool.map_list t.pool rows ~f:eval_one)
+          let mul_row = point_row t point in
+          Protocol.Values (Pool.map_list t.pool rows ~f:(eval_share t ~mul_row))
       | exception Failure msg -> Protocol.Error_msg msg)
-  | Protocol.Share pre -> (
-      match Node_table.find_by_pre t.table pre with
-      | None -> Protocol.Error_msg (Printf.sprintf "unknown node pre=%d" pre)
-      | Some row -> Protocol.Share_data row.Page.share)
   | Protocol.Shares pres -> (
       match
         List.map
@@ -654,7 +526,6 @@ let connection t =
   let on_request request =
     let response = handler t request in
     (match (request, response) with
-    | Protocol.Descendants _, Protocol.Cursor id -> owned := id :: !owned
     | Protocol.Scan_eval _, Protocol.Scan_batch { cursor = Some id; _ } ->
         if not (List.mem id !owned) then owned := id :: !owned
     | _ -> ());

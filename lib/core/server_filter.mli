@@ -6,9 +6,10 @@
     a query is about (it evaluates shares at client-supplied field
     points, which are themselves meaningless without the map).
 
-    Cursors implement the [nextNode()] pipeline: a [Descendants]
-    request opens a server-side scan buffer; the client drains it in
-    small batches so it holds only one batch at a time.  Abandoned
+    Cursors implement the [nextNode()] pipeline: a [Scan_eval] whose
+    first batch does not exhaust its target opens a server-side scan
+    cursor; the client drains it with [Scan_next] in small batches so
+    it holds only one batch at a time.  Abandoned
     cursors cannot accumulate: each cursor carries a last-used
     timestamp and is evicted once idle past [cursor_ttl] (swept on
     every cursor operation or via {!sweep_cursors}); the total is
@@ -46,7 +47,9 @@ val create :
     cursor table stays behind its own lock, and evaluation happens
     outside it.  [manifest] (default: the trivial 1-of-1 topology over
     the table's rows) is what the [Manifest] handshake reports — set it
-    when this server is one shard of a threshold deployment. *)
+    when this server is one shard of a threshold deployment.
+    @raise Invalid_argument when the ring's field order exceeds 256
+    (see {!Share.kernel_table}). *)
 
 val workers : t -> int
 (** The configured evaluation-pool size (1 = inline). *)

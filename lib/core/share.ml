@@ -6,6 +6,17 @@ let reconstruct ring ~seed ~pre ~server = Cyclic.add ring (client ring ~seed ~pr
 let combine_evaluations (ring : Secshare_poly.Ring.t) ~client ~server =
   ring.Secshare_poly.Ring.add client server
 
+(* Both filters evaluate shares only through the flat kernels, whose
+   byte op-tables exist exactly for q <= 256; every entry point admits
+   only such fields ([Database.checked_field_order]). *)
+let kernel_table (ring : Secshare_poly.Ring.t) =
+  match ring.Secshare_poly.Ring.table with
+  | Some tab -> tab
+  | None ->
+      invalid_arg
+        (Printf.sprintf "field order %d has no kernel tables (q <= 256 required)"
+           ring.Secshare_poly.Ring.order)
+
 (* --- Shamir t-of-n re-sharing of the server share (lib/shard) ---
 
    The 2-party split above is unchanged: client + server = f.  Sharded

@@ -31,6 +31,12 @@ val combine_evaluations : Secshare_poly.Ring.t -> client:int -> server:int -> in
     the true polynomial evaluates to zero there (the containment
     test). *)
 
+val kernel_table : Secshare_poly.Ring.t -> Secshare_field.Table.t
+(** The ring's flat byte op-tables, which both filters evaluate
+    through.  @raise Invalid_argument when the field order exceeds 256
+    (such fields are refused at admission, see
+    {!Database.checked_field_order}). *)
+
 (** {2 Shamir t-of-n re-sharing of the server share}
 
     Sharded serving (lib/shard) splits the {e server} share again:

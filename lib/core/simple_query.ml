@@ -5,14 +5,11 @@ open Query_common
    dedup, and (for a name step) the step's single test.  No look-ahead
    — the lowered plan never inspects later steps.
 
-   With the fused protocol the non-strict containment point rides
-   inside the scan ([Scan { eval = Some _ }]); otherwise it lowers to
-   a separate [Filter_containment] round trip after the dedup, which
-   reproduces the engine's historical dedup-then-test evaluation
-   counts.  The strict test is always a separate [Filter_equality]:
-   the old engine ran no containment sieve before it, and fusing one
-   in would change the cost model. *)
-let lower ?agg ~fused ~mapping ~strictness query =
+   The non-strict containment point rides inside the scan
+   ([Scan { eval = Some _ }]).  The strict test is a separate
+   [Filter_equality]: the engine runs no containment sieve before it,
+   and fusing one in would change the cost model. *)
+let lower ?agg ~mapping ~strictness query =
   if query = [] then raise (Query_error "empty query");
   let step_ops ~first (step : Ast.step) =
     let name_point =
@@ -20,17 +17,11 @@ let lower ?agg ~fused ~mapping ~strictness query =
       | Ast.Name name -> Some (map_point mapping name)
       | Ast.Any | Ast.Parent -> None
     in
-    let fused_eval =
-      match (strictness, name_point) with
-      | Non_strict, Some point when fused -> Some point
-      | _ -> None
-    in
-    let test_ops =
+    let fused_eval, test_ops =
       match (name_point, strictness) with
-      | None, _ -> []
-      | Some _, Non_strict when fused_eval <> None -> []
-      | Some point, Non_strict -> [ Plan.Filter_containment { points = [ point ] } ]
-      | Some point, Strict -> [ Plan.Filter_equality { point } ]
+      | None, _ -> (None, [])
+      | Some point, Non_strict -> (Some point, [])
+      | Some point, Strict -> (None, [ Plan.Filter_equality { point } ])
     in
     match (step.Ast.test, step.Ast.axis) with
     | Ast.Parent, _ -> [ Plan.Parent_step; Plan.Dedup ]
@@ -66,9 +57,7 @@ let run_explained filter ~mapping ~strictness query =
   if query = [] then raise (Query_error "empty query");
   if not (all_names_mapped ~mapping query) then ([], [])
   else begin
-    let plan =
-      lower ~fused:(Client_filter.fused_scan filter) ~mapping ~strictness query
-    in
+    let plan = lower ~mapping ~strictness query in
     let ops = Operator.build filter plan in
     let metas = Operator.drain ops in
     (sort_dedup metas, Operator.stats_list ops)
@@ -81,9 +70,7 @@ let run_value filter ~mapping ~strictness ~agg query =
   if query = [] then raise (Query_error "empty query");
   if not (all_names_mapped ~mapping query) then (empty_agg_value agg, [])
   else begin
-    let plan =
-      lower ~agg ~fused:(Client_filter.fused_scan filter) ~mapping ~strictness query
-    in
+    let plan = lower ~agg ~mapping ~strictness query in
     let ops = Operator.build filter plan in
     ignore (Operator.drain ops : _ list);
     match List.rev ops with

@@ -16,16 +16,14 @@
 
 val lower :
   ?agg:Secshare_xpath.Ast.agg_func ->
-  fused:bool ->
   mapping:Mapping.t ->
   strictness:Query_common.strictness ->
   Secshare_xpath.Ast.t ->
   Plan.t
-(** Lower a query to the streaming plan this engine executes.  With
-    [fused:true] each non-strict name test rides inside its axis scan
-    ([Scan_eval]); otherwise it lowers to a separate containment
-    filter after the step's dedup.  With [agg] the plan ends in the
-    terminal [Aggregate] sink.
+(** Lower a query to the streaming plan this engine executes: each
+    non-strict name test rides inside its axis scan ([Scan_eval]),
+    each strict one is an equality filter after the step's dedup.
+    With [agg] the plan ends in the terminal [Aggregate] sink.
     @raise Query_common.Query_error on an empty query, a name with
     no map entry, or a [sum]/[avg] over a non-aggregatable tag. *)
 

@@ -10,8 +10,9 @@
     extension fields alike (whose canonical integer encodings are not
     integer arithmetic mod q).
 
-    Fields with [order > 256] get no table ([create] returns [None])
-    and callers fall back to the closure-based reference path. *)
+    Fields with [order > 256] get no table ([create] returns [None]);
+    the query filters refuse such rings, and every entry point admits
+    only [order <= 256] ([Database.checked_field_order]). *)
 
 type t
 

@@ -94,7 +94,6 @@ let table : ((string * string) * guard) list =
     (("lib/core/server_filter.ml", "evicted_total"), Guarded_by "cursor-table");
     (("lib/core/server_filter.ml", "expired_total"), Guarded_by "cursor-table");
     (("lib/core/server_filter.ml", "last_used"), Guarded_by "cursor-table");
-    (("lib/core/server_filter.ml", "state"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "pending_parents"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "buffered_rows"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "current_range"), Domain_confined "caller");
@@ -118,10 +117,6 @@ let table : ((string * string) * guard) list =
     (("lib/shard/router.ml", "skip"), Domain_confined "caller");
     (("lib/shard/router.ml", "pending"), Domain_confined "caller");
     (("lib/shard/router.ml", "active"), Domain_confined "caller");
-    (("lib/shard/router.ml", "l_shard"), Domain_confined "caller");
-    (("lib/shard/router.ml", "l_remote"), Domain_confined "caller");
-    (("lib/shard/router.ml", "l_emitted"), Domain_confined "caller");
-    (("lib/shard/router.ml", "l_done"), Domain_confined "caller");
     (* --- lib/store: single-writer B+tree under the table writer lock.
        Readers are lock-free against published structure, so structural
        fields are Guarded_writes; the interprocedural entry-lockset

@@ -25,12 +25,8 @@ type request =
   | Root
   | Children of int
   | Parent of int
-  | Descendants of { pre : int; post : int }
-  | Cursor_next of { cursor : int; max_items : int }
   | Cursor_close of int
-  | Eval of { pre : int; point : int }
   | Eval_batch of { pres : int list; point : int }
-  | Share of int
   | Shares of int list
   | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
@@ -95,28 +91,13 @@ let encode_request req =
   | Parent pre ->
       Wire.write_u8 w 3;
       Wire.write_u32 w pre
-  | Descendants { pre; post } ->
-      Wire.write_u8 w 4;
-      Wire.write_u32 w pre;
-      Wire.write_u32 w post
-  | Cursor_next { cursor; max_items } ->
-      Wire.write_u8 w 5;
-      Wire.write_u32 w cursor;
-      Wire.write_u32 w max_items
   | Cursor_close cursor ->
       Wire.write_u8 w 6;
       Wire.write_u32 w cursor
-  | Eval { pre; point } ->
-      Wire.write_u8 w 7;
-      Wire.write_u32 w pre;
-      Wire.write_u32 w point
   | Eval_batch { pres; point } ->
       Wire.write_u8 w 8;
       Wire.write_list w (Wire.write_u32 w) pres;
       Wire.write_u32 w point
-  | Share pre ->
-      Wire.write_u8 w 9;
-      Wire.write_u32 w pre
   | Shares pres ->
       Wire.write_u8 w 10;
       Wire.write_list w (Wire.write_u32 w) pres
@@ -162,24 +143,11 @@ let decode_request s =
     | 1 -> Root
     | 2 -> Children (Wire.read_u32 r)
     | 3 -> Parent (Wire.read_u32 r)
-    | 4 ->
-        let pre = Wire.read_u32 r in
-        let post = Wire.read_u32 r in
-        Descendants { pre; post }
-    | 5 ->
-        let cursor = Wire.read_u32 r in
-        let max_items = Wire.read_u32 r in
-        Cursor_next { cursor; max_items }
     | 6 -> Cursor_close (Wire.read_u32 r)
-    | 7 ->
-        let pre = Wire.read_u32 r in
-        let point = Wire.read_u32 r in
-        Eval { pre; point }
     | 8 ->
         let pres = Wire.read_list r (fun () -> Wire.read_u32 r) in
         let point = Wire.read_u32 r in
         Eval_batch { pres; point }
-    | 9 -> Share (Wire.read_u32 r)
     | 10 -> Shares (Wire.read_list r (fun () -> Wire.read_u32 r))
     | 11 -> Table_stats
     | 12 ->
@@ -343,12 +311,8 @@ let request_name = function
   | Root -> "root"
   | Children _ -> "children"
   | Parent _ -> "parent"
-  | Descendants _ -> "descendants"
-  | Cursor_next _ -> "cursor_next"
   | Cursor_close _ -> "cursor_close"
-  | Eval _ -> "eval"
   | Eval_batch _ -> "eval_batch"
-  | Share _ -> "share"
   | Shares _ -> "shares"
   | Table_stats -> "table_stats"
   | Scan_eval _ -> "scan_eval"
@@ -363,21 +327,14 @@ let pp_request fmt = function
   | Root -> Format.pp_print_string fmt "Root"
   | Children pre -> Format.fprintf fmt "Children(%d)" pre
   | Parent pre -> Format.fprintf fmt "Parent(%d)" pre
-  | Descendants { pre; post } -> Format.fprintf fmt "Descendants(pre=%d,post=%d)" pre post
-  | Cursor_next { cursor; max_items } ->
-      Format.fprintf fmt "Cursor_next(%d,max=%d)" cursor max_items
   | Cursor_close c -> Format.fprintf fmt "Cursor_close(%d)" c
   (* pp_request runs on the trusted client only (protocol_error
      diagnostics, tests); the server formats requests solely through
      request_name, which carries no payload. *)
-  | Eval { pre; point } ->
-      (Format.fprintf fmt "Eval(pre=%d,point=%d)" pre point
-      [@lint.suppress
-        "secret-sink" ~reason:"client-side diagnostic printer; server uses request_name"])
   | Eval_batch { pres; point } ->
       (Format.fprintf fmt "Eval_batch(%d nodes,point=%d)" (List.length pres) point
-      [@lint.suppress "secret-sink" ~reason:"same: client-side diagnostic printer"])
-  | Share pre -> Format.fprintf fmt "Share(%d)" pre
+      [@lint.suppress
+        "secret-sink" ~reason:"client-side diagnostic printer; server uses request_name"])
   | Shares pres -> Format.fprintf fmt "Shares(%d nodes)" (List.length pres)
   | Table_stats -> Format.pp_print_string fmt "Table_stats"
   | Scan_eval { target; points; max_items } ->

@@ -1,13 +1,17 @@
 (** The client/server filter protocol.
 
     This is the message vocabulary of the paper's [Filter] interface
-    (§5.2): tree-structure queries ([Root], [Children], [Parent],
-    [Descendants]), share evaluation on the server ([Eval],
-    [Eval_batch]), raw share fetch for the equality test ([Share],
-    [Shares]), and a cursor discipline mirroring the [nextNode()]
-    pipeline — "the thin client only needs to have one node in memory
-    at a time.  The big server will do the buffering of the
-    intermediate results."
+    (§5.2), reduced to one query protocol: fused axis scans that
+    evaluate shares server-side ([Scan_eval] / [Scan_next]), batch
+    share evaluation ([Eval_batch]), raw share fetch for the equality
+    test ([Shares]), aggregation ([Agg_eval]) and a few point lookups
+    ([Root], [Children], [Parent]).  Scan cursors mirror the
+    [nextNode()] pipeline — "the thin client only needs to have one
+    node in memory at a time.  The big server will do the buffering of
+    the intermediate results."
+
+    The wire tags of requests are stable: tags 4, 5, 7 and 9 belonged
+    to the retired per-node opcodes and now fail to decode.
 
     Everything is structural metadata and share data; tag names and the
     map never cross the wire. *)
@@ -49,26 +53,19 @@ type request =
   | Root
   | Children of int  (** parent's [pre] *)
   | Parent of int  (** child's [pre] *)
-  | Descendants of { pre : int; post : int }
-      (** opens a server-side cursor over the subtree *)
-  | Cursor_next of { cursor : int; max_items : int }
   | Cursor_close of int
-  | Eval of { pre : int; point : int }
-      (** evaluate the stored share of node [pre] at [point] *)
   | Eval_batch of { pres : int list; point : int }
-  | Share of int  (** raw share of node [pre] *)
-  | Shares of int list
+      (** evaluate the stored shares of the listed nodes at [point] *)
+  | Shares of int list  (** raw shares of the listed nodes *)
   | Table_stats
   | Scan_eval of { target : scan_target; points : int list; max_items : int }
       (** Fused axis scan + share evaluation: one round trip returns a
           batch of scanned rows, each with its server-share evaluated
-          at every point.  Replaces a per-parent [Children] (or
-          [Descendants] cursor drain) followed by an [Eval_batch].
-          The reply is a [Scan_batch]; when it carries a cursor,
+          at every point.  The reply is a [Scan_batch]; when it carries a cursor,
           continue with [Scan_next] or abandon with [Cursor_close]. *)
   | Scan_next of { cursor : int; max_items : int }
-      (** Next batch of a [Scan_eval] (not idempotent, like
-          [Cursor_next]). *)
+      (** Next batch of a [Scan_eval] (not idempotent: it advances
+          the cursor). *)
   | Manifest
       (** Topology handshake: answered with [Manifest_data].  A
           non-sharded server reports the trivial 1-of-1 manifest, so
@@ -86,11 +83,12 @@ type response =
   | Pong
   | Node_opt of node_meta option
   | Nodes of node_meta list
-  | Cursor of int
-  | Batch of node_meta list * bool  (** items, exhausted? *)
-  | Value of int
+  | Cursor of int  (** unused; kept while perfbench/deploy.ml matches it *)
+  | Batch of node_meta list * bool
+      (** unused; kept while perfbench/deploy.ml matches it *)
+  | Value of int  (** unused; kept while perfbench/deploy.ml matches it *)
   | Values of int list
-  | Share_data of bytes
+  | Share_data of bytes  (** unused; kept while perfbench/deploy.ml matches it *)
   | Shares_data of bytes list
   | Stats of stats
   | Scan_batch of { rows : (node_meta * int list) list; cursor : int option }
@@ -106,7 +104,7 @@ type response =
   | Error_msg of string
 
 val request_name : request -> string
-(** Stable lowercase opcode name ("scan_eval", "cursor_next", …) —
+(** Stable lowercase opcode name ("scan_eval", "scan_next", …) —
     safe as a metric label value: carries the opcode only, never the
     request payload. *)
 

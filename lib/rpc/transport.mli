@@ -11,7 +11,7 @@
     The socket transport carries a resilience {!policy}: every call is
     bounded by a deadline, and failed {e idempotent} calls are retried
     with exponential backoff and jitter, transparently reconnecting a
-    dead socket.  [Cursor_next] is the one non-idempotent request
+    dead socket.  [Scan_next] is the one non-idempotent request
     (resending it could skip a batch) and is never retried.  Protocol
     errors — an undecodable reply from a live peer — are never
     retried either; only transport failures (timeout, reset, EOF)

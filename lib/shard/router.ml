@@ -55,17 +55,7 @@ type scan_state = {
   mutable active : active option;
 }
 
-type legacy_state = {
-  l_pre : int;
-  l_post : int;
-  mutable l_shard : shard;
-  mutable l_remote : int;
-  mutable l_emitted : int;
-  mutable l_done : bool;
-}
-
-type cursor_kind = Scan of scan_state | Legacy of legacy_state
-type cursor = { kind : cursor_kind; mutable last_used : int }
+type cursor = { scan : scan_state; mutable last_used : int }
 
 type t = {
   ring : Ring.t;
@@ -375,21 +365,15 @@ let rec fill t scan ~want acc =
 
 (* --- cursor table (mutex-guarded; network calls stay outside) --- *)
 
-let close_cursor_remotes t cursor =
-  match cursor.kind with
-  | Scan scan -> (
-      scan.pending <- [];
-      match scan.active with
-      | Some active ->
-          close_active_members t active;
-          scan.active <- None
-      | None -> ())
-  | Legacy st ->
-      if not st.l_done then (
-        try ignore (Transport.call st.l_shard.transport (Protocol.Cursor_close st.l_remote))
-        with _ -> ())
+let close_cursor_remotes t { scan; _ } =
+  scan.pending <- [];
+  match scan.active with
+  | Some active ->
+      close_active_members t active;
+      scan.active <- None
+  | None -> ()
 
-let register_cursor t kind =
+let register_cursor t scan =
   let victim =
     with_lock t (fun () ->
         if Hashtbl.length t.cursors >= t.max_cursors then begin
@@ -414,7 +398,7 @@ let register_cursor t kind =
       let id = t.next_cursor in
       t.next_cursor <- id + 1;
       t.ticks <- t.ticks + 1;
-      Hashtbl.replace t.cursors id { kind; last_used = t.ticks };
+      Hashtbl.replace t.cursors id { scan; last_used = t.ticks };
       id)
 
 let find_cursor t id =
@@ -423,7 +407,7 @@ let find_cursor t id =
       | Some c ->
           t.ticks <- t.ticks + 1;
           c.last_used <- t.ticks;
-          Some c.kind
+          Some c.scan
       | None -> None)
 
 let take_cursor t id =
@@ -436,88 +420,7 @@ let take_cursor t id =
 
 let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)
 
-(* --- legacy descendants cursors --- *)
-
-let open_legacy t ~pre ~post =
-  on_one t ~partition:(partition_of t pre) (fun shard ->
-      match call_shard t shard (Protocol.Descendants { pre; post }) with
-      | Protocol.Cursor c ->
-          { l_pre = pre; l_post = post; l_shard = shard; l_remote = c;
-            l_emitted = 0; l_done = false }
-      | response ->
-          raise
-            (Diverged
-               (Format.asprintf "unexpected descendants reply: %a"
-                  Protocol.pp_response response)))
-
-(* Reopen the subtree cursor on a survivor and discard what the client
-   already received. *)
-let legacy_failover t st =
-  on_one t ~partition:(partition_of t st.l_pre) (fun shard ->
-      match call_shard t shard (Protocol.Descendants { pre = st.l_pre; post = st.l_post }) with
-      | Protocol.Cursor c ->
-          st.l_shard <- shard;
-          st.l_remote <- c;
-          let rec skip remaining =
-            if remaining > 0 then
-              match
-                call_shard t shard
-                  (Protocol.Cursor_next { cursor = c; max_items = min remaining 512 })
-              with
-              | Protocol.Batch (items, done_) ->
-                  let got = List.length items in
-                  if got > remaining || (got < remaining && (done_ || got = 0)) then
-                    raise (Diverged "descendants stream shorter after failover")
-                  else if done_ then st.l_done <- true
-                  else skip (remaining - got)
-              | response ->
-                  raise
-                    (Diverged
-                       (Format.asprintf "unexpected batch reply: %a"
-                          Protocol.pp_response response))
-          in
-          skip st.l_emitted
-      | response ->
-          raise
-            (Diverged
-               (Format.asprintf "unexpected descendants reply: %a"
-                  Protocol.pp_response response)))
-
-let rec legacy_next t st ~max_items =
-  if st.l_done then ([], true)
-  else
-    match call_shard t st.l_shard (Protocol.Cursor_next { cursor = st.l_remote; max_items }) with
-    | Protocol.Batch (items, done_) ->
-        st.l_emitted <- st.l_emitted + List.length items;
-        if done_ then st.l_done <- true;
-        (items, done_)
-    | Protocol.Error_msg msg -> raise (App_error msg)
-    | response ->
-        raise
-          (Diverged
-             (Format.asprintf "unexpected batch reply: %a" Protocol.pp_response
-                response))
-    | exception Member_down ->
-        legacy_failover t st;
-        legacy_next t st ~max_items
-
 (* --- grouped point operations --- *)
-
-let eval_one t ~pre ~point =
-  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
-      let values =
-        List.map
-          (fun s ->
-            match call_shard t s (Protocol.Eval { pre; point }) with
-            | Protocol.Value v -> v
-            | response ->
-                raise
-                  (Diverged
-                     (Format.asprintf "unexpected eval reply: %a" Protocol.pp_response
-                        response)))
-          group
-      in
-      Protocol.Value (Share.combine_threshold_evaluations t.ring ~lambdas values))
 
 (* Split a batch at partition boundaries, keeping every result at its
    caller-visible index. *)
@@ -548,22 +451,6 @@ let eval_batch t ~pres ~point =
       List.iter2 (fun (i, _) v -> results.(i) <- v) chunk combined)
     chunks;
   Protocol.Values (Array.to_list results)
-
-let share_one t pre =
-  on_group t ~partition:(partition_of t pre) (fun group lambdas ->
-      let packed =
-        List.map
-          (fun s ->
-            match call_shard t s (Protocol.Share pre) with
-            | Protocol.Share_data b -> b
-            | response ->
-                raise
-                  (Diverged
-                     (Format.asprintf "unexpected share reply: %a"
-                        Protocol.pp_response response)))
-          group
-      in
-      Protocol.Share_data (Share.reconstruct_packed t.ring ~lambdas packed))
 
 let shares_batch t pres =
   let results = Array.make (List.length pres) Bytes.empty in
@@ -647,24 +534,9 @@ let dispatch t request =
   | Protocol.Root | Protocol.Table_stats -> forward_one t ~partition:0 request
   | Protocol.Children parent -> forward_one t ~partition:(partition_of t parent) request
   | Protocol.Parent pre -> forward_one t ~partition:(partition_of t pre) request
-  | Protocol.Eval { pre; point } -> eval_one t ~pre ~point
   | Protocol.Eval_batch { pres; point } -> eval_batch t ~pres ~point
-  | Protocol.Share pre -> share_one t pre
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres
-  | Protocol.Descendants { pre; post } ->
-      let st = open_legacy t ~pre ~post in
-      Protocol.Cursor (register_cursor t (Legacy st))
-  | Protocol.Cursor_next { cursor; max_items } -> (
-      match find_cursor t cursor with
-      | Some (Legacy st) ->
-          let items, done_ = legacy_next t st ~max_items in
-          if done_ then
-            Option.iter (close_cursor_remotes t) (take_cursor t cursor);
-          Protocol.Batch (items, done_)
-      | Some (Scan _) ->
-          Protocol.Error_msg (Printf.sprintf "cursor %d is a scan cursor" cursor)
-      | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor))
   | Protocol.Cursor_close cursor ->
       Option.iter (close_cursor_remotes t) (take_cursor t cursor);
       Protocol.Pong
@@ -672,19 +544,17 @@ let dispatch t request =
       let scan = { points; pending = sub_targets t target; active = None } in
       let rows = fill t scan ~want:(max 1 max_items) [] in
       if scan_more scan then
-        Protocol.Scan_batch { rows; cursor = Some (register_cursor t (Scan scan)) }
+        Protocol.Scan_batch { rows; cursor = Some (register_cursor t scan) }
       else Protocol.Scan_batch { rows; cursor = None }
   | Protocol.Scan_next { cursor; max_items } -> (
       match find_cursor t cursor with
-      | Some (Scan scan) ->
+      | Some scan ->
           let rows = fill t scan ~want:(max 1 max_items) [] in
           if scan_more scan then Protocol.Scan_batch { rows; cursor = Some cursor }
           else begin
             Option.iter (close_cursor_remotes t) (take_cursor t cursor);
             Protocol.Scan_batch { rows; cursor = None }
           end
-      | Some (Legacy _) ->
-          Protocol.Error_msg (Printf.sprintf "cursor %d is not a scan cursor" cursor)
       | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor))
 
 let handler t request =
@@ -704,15 +574,10 @@ let connection t =
   let on_request request =
     let response = handler t request in
     (match response with
-    | Protocol.Cursor id -> add id
     | Protocol.Scan_batch { cursor = Some id; _ } -> add id
     | Protocol.Scan_batch { cursor = None; _ } -> (
         match request with
         | Protocol.Scan_next { cursor; _ } -> remove cursor
-        | _ -> ())
-    | Protocol.Batch (_, true) -> (
-        match request with
-        | Protocol.Cursor_next { cursor; _ } -> remove cursor
         | _ -> ())
     | _ -> ());
     (match request with Protocol.Cursor_close id -> remove id | _ -> ());
@@ -813,15 +678,19 @@ let connect ?policy ~p ~e ?max_cursors paths =
             List.iter Transport.close acc;
             Error (Printf.sprintf "shard %s: %s" path msg))
   in
-  match open_all [] paths with
+  (* the field is admitted before any socket is opened *)
+  match Secshare_core.Database.checked_field_order ~p ~e with
   | Error _ as e -> e
-  | Ok transports -> (
-      let ring = Ring.of_prime_power ~p ~e in
-      match of_transports ring ?max_cursors transports with
-      | Ok _ as ok -> ok
-      | Error _ as e ->
-          List.iter Transport.close transports;
-          e)
+  | Ok _ -> (
+      match open_all [] paths with
+      | Error _ as e -> e
+      | Ok transports -> (
+          let ring = Ring.of_prime_power ~p ~e in
+          match of_transports ring ?max_cursors transports with
+          | Ok _ as ok -> ok
+          | Error _ as e ->
+              List.iter Transport.close transports;
+              e))
 
 let close t =
   let all = with_lock t (fun () ->

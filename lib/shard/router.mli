@@ -46,7 +46,9 @@ val connect :
   string list ->
   (t, string) result
 (** [of_transports] over socket transports to the given Unix-socket
-    paths, each carrying the retry/deadline [policy]. *)
+    paths, each carrying the retry/deadline [policy].  The field [p^e]
+    passes {!Secshare_core.Database.checked_field_order} before any
+    socket is opened. *)
 
 val handler :
   t -> Secshare_rpc.Protocol.request -> Secshare_rpc.Protocol.response

@@ -1,5 +1,5 @@
-(* The Database facade: bundles, batching, pattern queries, error
-   surfaces. *)
+(* The Database facade: bundles, pattern queries, field admission,
+   error surfaces. *)
 
 module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
@@ -82,38 +82,6 @@ let test_bundle_shares_public () =
             (pres (DB.result_nodes r));
           DB.close hijacked)
 
-let test_rpc_batching_equivalence () =
-  let doc = Secshare_xmark.Generate.generate ~factor:0.4 () in
-  let mk batching =
-    let config =
-      {
-        DB.default_config with
-        seed = Some Test_support.test_seed;
-        client = { DB.default_client_config with rpc_batching = batching };
-      }
-    in
-    Result.get_ok (DB.create_tree ~config doc)
-  in
-  let batched = mk true and unbatched = mk false in
-  List.iter
-    (fun q ->
-      let rb =
-        Result.get_ok (DB.query ~engine:DB.Simple ~strictness:QC.Non_strict batched q)
-      in
-      let ru =
-        Result.get_ok (DB.query ~engine:DB.Simple ~strictness:QC.Non_strict unbatched q)
-      in
-      check Alcotest.(list int) ("results " ^ q) (pres (DB.result_nodes rb)) (pres (DB.result_nodes ru));
-      check Alcotest.int ("same evaluations " ^ q)
-        rb.DB.metrics.Secshare_core.Metrics.evaluations
-        ru.DB.metrics.Secshare_core.Metrics.evaluations;
-      if List.length (DB.result_nodes rb) > 0 then
-        check Alcotest.bool ("unbatched needs more round trips " ^ q) true
-          (ru.DB.rpc_calls >= rb.DB.rpc_calls))
-    queries;
-  DB.close batched;
-  DB.close unbatched
-
 (* --- §4 regular expressions in contains() --- *)
 
 let regex_db () =
@@ -182,6 +150,64 @@ let test_field_order_overflow_rejected () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "p=5 e=2 should be fine: %s" msg
 
+(* q = 257 is prime but past the byte-table bound: every entry point
+   must refuse it with a typed error before it touches a file or a
+   socket. *)
+let mentions_bound msg =
+  let needle = "bound" in
+  let n = String.length needle and len = String.length msg in
+  let rec scan i = i + n <= len && (String.sub msg i n = needle || scan (i + 1)) in
+  scan 0
+
+let expect_field_error what = function
+  | Error msg ->
+      check Alcotest.bool (Printf.sprintf "%s names the bound: %s" what msg) true
+        (mentions_bound msg)
+  | Ok db ->
+      DB.close db;
+      Alcotest.failf "%s accepted q = 257" what
+
+let test_q257_create_tree () =
+  let tree = Tree.element "a" [ Tree.element "b" [] ] in
+  expect_field_error "create_tree"
+    (DB.create_tree
+       ~config:{ DB.default_config with p = 257; seed = Some Test_support.test_seed }
+       tree)
+
+let test_q257_of_transport () =
+  let mapping = Result.get_ok (Secshare_core.Mapping.of_names ~q:257 [ "a"; "b" ]) in
+  let transport =
+    Secshare_rpc.Transport.local ~handler:(fun _ ->
+        Alcotest.fail "the transport was used before the field was admitted")
+  in
+  expect_field_error "of_transport"
+    (DB.of_transport ~p:257 ~e:1 ~mapping ~seed:Test_support.test_seed transport);
+  expect_field_error "connect"
+    (DB.connect ~p:257 ~e:1 ~mapping ~seed:Test_support.test_seed
+       ~path:"/nonexistent/never/here.sock" ())
+
+let test_q257_open_bundle () =
+  with_temp_dir (fun dir ->
+      let db = Test_support.db_of_tree (Tree.element "a" [ Tree.element "b" [] ]) in
+      (match DB.save_bundle db ~dir with Ok () -> () | Error e -> Alcotest.fail e);
+      DB.close db;
+      (* without the page file, any attempt to open it would fail with
+         a different error than the admission rule's *)
+      Sys.remove (Filename.concat dir "shares.db");
+      let map_path = Filename.concat dir "client.map" in
+      Out_channel.with_open_text map_path (fun oc ->
+          output_string oc "q = 257\na = 256\nb = 255\n");
+      (match DB.open_bundle ~dir () with
+      | Error msg ->
+          check Alcotest.bool ("map q = 257 refused: " ^ msg) true
+            (String.length msg >= 4 && String.sub msg 0 4 = "map:")
+      | Ok db ->
+          DB.close db;
+          Alcotest.fail "opened a bundle whose map declares q = 257");
+      Out_channel.with_open_text (Filename.concat dir "config") (fun oc ->
+          output_string oc "p = 257\ne = 1\n");
+      expect_field_error "open_bundle" (DB.open_bundle ~dir ()))
+
 let test_accuracy_empty_result () =
   let db = Test_support.db_of_tree (Tree.element "a" [ Tree.element "b" [] ]) in
   (* both result sets empty -> accuracy defined as 1.0 *)
@@ -199,8 +225,6 @@ let () =
           Alcotest.test_case "corrupt config" `Quick test_bundle_corrupt_config;
           Alcotest.test_case "shares alone are useless" `Quick test_bundle_shares_public;
         ] );
-      ( "batching",
-        [ Alcotest.test_case "batched = unbatched" `Quick test_rpc_batching_equivalence ] );
       ( "contains patterns",
         [
           Alcotest.test_case "dot" `Quick test_contains_dot;
@@ -213,5 +237,12 @@ let () =
           Alcotest.test_case "field-order overflow rejected" `Quick
             test_field_order_overflow_rejected;
           Alcotest.test_case "accuracy of empty results" `Quick test_accuracy_empty_result;
+        ] );
+      ( "field admission",
+        [
+          Alcotest.test_case "q = 257 refused by create_tree" `Quick test_q257_create_tree;
+          Alcotest.test_case "q = 257 refused by of_transport and connect" `Quick
+            test_q257_of_transport;
+          Alcotest.test_case "q = 257 refused by open_bundle" `Quick test_q257_open_bundle;
         ] );
     ]

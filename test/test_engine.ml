@@ -265,34 +265,38 @@ let test_cursor_accounting () =
   let transport =
     Secshare_rpc.Transport.local ~handler:(Secshare_core.Server_filter.handler server)
   in
-  let filter =
-    Secshare_core.Client_filter.create ring ~seed:Test_support.test_seed ~batch_size:2
-      transport
-  in
+  let filter = Secshare_core.Client_filter.create ring ~seed:Test_support.test_seed transport in
   let root = Option.get (Secshare_core.Client_filter.root filter) in
-  (* tiny batches force several Cursor_next round trips *)
+  let open Secshare_rpc.Protocol in
+  let descendants = Pre_ranges [ (root.pre + 1, root.post) ] in
+  (* tiny batches force several Scan_next round trips *)
   let visited = ref 0 in
-  Secshare_core.Client_filter.iter_descendants filter root ~f:(fun _ -> incr visited);
+  let rec drain (rows, cursor) =
+    visited := !visited + List.length rows;
+    match cursor with
+    | Some c -> drain (Secshare_core.Client_filter.scan_next filter ~cursor:c ~max_items:2)
+    | None -> ()
+  in
+  drain
+    (Secshare_core.Client_filter.scan_eval filter ~target:descendants ~points:[]
+       ~max_items:2);
   check Alcotest.int "all descendants streamed" 11 !visited;
   check Alcotest.int "drained cursors are freed" 0
     (Secshare_core.Server_filter.open_cursors server);
   (* an abandoned cursor stays open until closed explicitly *)
-  let open Secshare_rpc.Protocol in
   (match
-     Secshare_rpc.Transport.call transport
-       (Descendants { pre = root.pre; post = root.post })
+     Secshare_core.Client_filter.scan_eval filter ~target:descendants ~points:[]
+       ~max_items:2
    with
-  | Cursor id ->
+  | _, Some id ->
       check Alcotest.int "abandoned cursor counted" 1
         (Secshare_core.Server_filter.open_cursors server);
-      (match Secshare_rpc.Transport.call transport (Cursor_close id) with
-      | Pong -> ()
-      | r -> Alcotest.failf "close: %s" (Format.asprintf "%a" pp_response r));
+      Secshare_core.Client_filter.cursor_close filter id;
       check Alcotest.int "closed cursor freed" 0
         (Secshare_core.Server_filter.open_cursors server)
-  | r -> Alcotest.failf "descendants: %s" (Format.asprintf "%a" pp_response r));
+  | _, None -> Alcotest.fail "scan drained in one two-row batch");
   (* unknown cursors are an error, not a crash *)
-  match Secshare_rpc.Transport.call transport (Cursor_next { cursor = 999; max_items = 5 }) with
+  match Secshare_rpc.Transport.call transport (Scan_next { cursor = 999; max_items = 5 }) with
   | Error_msg _ -> ()
   | r -> Alcotest.failf "unknown cursor: %s" (Format.asprintf "%a" pp_response r)
 
@@ -312,12 +316,33 @@ let test_corrupt_share_surfaces () =
     };
   let server = Secshare_core.Server_filter.create ring table in
   match
-    Secshare_core.Server_filter.handler server (Secshare_rpc.Protocol.Eval { pre = 1; point = 5 })
+    Secshare_core.Server_filter.handler server
+      (Secshare_rpc.Protocol.Eval_batch { pres = [ 1 ]; point = 5 })
   with
   | Secshare_rpc.Protocol.Error_msg _ -> ()
   | r ->
       Alcotest.failf "corrupt share answered: %s"
         (Format.asprintf "%a" Secshare_rpc.Protocol.pp_response r)
+
+let test_zero_point_rejected () =
+  (* evaluation at 0 (or at q, which normalizes to 0) is not preserved
+     by the cyclic reduction: the server answers it with an error *)
+  let db = Test_support.db_of_tree doc_small in
+  let server = Secshare_core.Server_filter.create (DB.ring db) (DB.table db) in
+  let open Secshare_rpc.Protocol in
+  List.iter
+    (fun (what, request) ->
+      match Secshare_core.Server_filter.handler server request with
+      | Error_msg _ -> ()
+      | r -> Alcotest.failf "%s answered: %s" what (Format.asprintf "%a" pp_response r))
+    [
+      ("Eval_batch at 0", Eval_batch { pres = [ 1 ]; point = 0 });
+      ("Eval_batch at q", Eval_batch { pres = [ 1 ]; point = 83 });
+      ( "Scan_eval at 0",
+        Scan_eval { target = Children_of [ 0 ]; points = [ 5; 0 ]; max_items = 8 } );
+    ];
+  Secshare_core.Server_filter.close server;
+  DB.close db
 
 (* --- error handling --- *)
 
@@ -375,6 +400,7 @@ let () =
         [
           Alcotest.test_case "cursor accounting" `Quick test_cursor_accounting;
           Alcotest.test_case "corrupt shares surface" `Quick test_corrupt_share_surfaces;
+          Alcotest.test_case "zero point is an error" `Quick test_zero_point_rejected;
         ] );
       ( "errors",
         [

@@ -1,7 +1,7 @@
 (* The streaming operator pipeline: golden results for the paper's
-   §5.3 queries, engine/config agreement (fused, unfused, per-node),
-   property tests against the plaintext reference, plan lowering
-   shapes, cursor teardown, and the --explain counters. *)
+   §5.3 queries, fused and unfused plan agreement, property tests
+   against the plaintext reference, plan lowering shapes, scan order,
+   cursor teardown, and the --explain counters. *)
 
 module DB = Secshare_core.Database
 module QC = Secshare_core.Query_common
@@ -27,19 +27,6 @@ let parse = Parser.parse_exn
 
 let xmark_doc = lazy (Generate.generate_bytes ~seed:20050905L ~target_bytes:30_000 ())
 let xmark_db = lazy (Test_support.db_of_tree (Lazy.force xmark_doc))
-
-let db_with ~fused ~batching tree =
-  let config =
-    {
-      DB.default_config with
-      seed = Some Test_support.test_seed;
-      client =
-        { DB.default_client_config with rpc_fused_scan = fused; rpc_batching = batching };
-    }
-  in
-  match DB.create_tree ~config tree with
-  | Ok db -> db
-  | Error msg -> failwith ("db_with: " ^ msg)
 
 let query_pres db ~engine ~strictness q =
   DB.result_nodes (Test_support.must_query ~engine ~strictness db q) |> pres
@@ -87,49 +74,41 @@ let test_golden_results () =
         [ ("simple", DB.Simple); ("advanced", DB.Advanced) ])
     golden
 
-(* --- the three protocol configurations agree; fused halves the trips --- *)
+(* --- fused and unfused plans agree; fusion saves round trips --- *)
 
-let test_config_agreement () =
-  let doc = Lazy.force xmark_doc in
-  let fused = db_with ~fused:true ~batching:true doc in
-  let batched = db_with ~fused:false ~batching:true doc in
-  let per_node = db_with ~fused:false ~batching:false doc in
+(* Run an advanced-engine plan lowered with or without fusion on the
+   shared executor: the sorted result and the round trips it took. *)
+let run_advanced_plan db ~fused ~strictness q =
+  let filter = DB.client_filter db in
+  let plan =
+    Secshare_core.Advanced_query.lower ~fused ~mapping:(DB.mapping db) ~strictness
+      (parse q)
+  in
+  let calls0 = (Client_filter.rpc_counters filter).Transport.calls in
+  let nodes = QC.sort_dedup (Operator.run filter plan) in
+  (pres nodes, (Client_filter.rpc_counters filter).Transport.calls - calls0)
+
+let test_fused_unfused_agree () =
+  let db = Lazy.force xmark_db in
   List.iter
     (fun (q, strictness, expected) ->
       List.iter
-        (fun (_, engine) ->
-          let rf = Test_support.must_query ~engine ~strictness fused q in
-          let rb = Test_support.must_query ~engine ~strictness batched q in
-          let rn = Test_support.must_query ~engine ~strictness per_node q in
-          check Alcotest.(list int) (q ^ " fused") expected (pres (DB.result_nodes rf));
-          check Alcotest.(list int) (q ^ " batched") expected (pres (DB.result_nodes rb));
-          check Alcotest.(list int) (q ^ " per-node") expected (pres (DB.result_nodes rn)))
-        [ ("simple", DB.Simple); ("advanced", DB.Advanced) ])
+        (fun fused ->
+          check Alcotest.(list int)
+            (Printf.sprintf "%s (fused=%b)" q fused)
+            expected
+            (fst (run_advanced_plan db ~fused ~strictness q)))
+        [ true; false ])
     golden;
-  (* the acceptance bar for the fused protocol: at most half the round
-     trips of the batched cursor protocol on the §5.3 chain queries *)
+  (* the fused plan carries its first sieve point inside the scan, so
+     it needs strictly fewer round trips than the unfused one *)
   List.iter
     (fun q ->
-      List.iter
-        (fun (name, engine) ->
-          let rf = Test_support.must_query ~engine ~strictness:QC.Non_strict fused q in
-          let rb = Test_support.must_query ~engine ~strictness:QC.Non_strict batched q in
-          check Alcotest.(list int)
-            (q ^ " fused = batched (" ^ name ^ ")")
-            (pres (DB.result_nodes rb)) (pres (DB.result_nodes rf));
-          (* on these chains the simple engine's trips halve outright;
-             the advanced engine spends most trips on look-ahead
-             Eval_batch rounds that fusion cannot absorb, so it only
-             has to win *)
-          let bar =
-            if engine = DB.Simple then 2 * rf.DB.rpc_calls <= rb.DB.rpc_calls
-            else rf.DB.rpc_calls < rb.DB.rpc_calls
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (%s): fused calls (%d) beat batched (%d)" q name
-               rf.DB.rpc_calls rb.DB.rpc_calls)
-            true bar)
-        [ ("simple", DB.Simple); ("advanced", DB.Advanced) ])
+      let _, fused = run_advanced_plan db ~fused:true ~strictness:QC.Non_strict q in
+      let _, unfused = run_advanced_plan db ~fused:false ~strictness:QC.Non_strict q in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: fused calls (%d) beat unfused (%d)" q fused unfused)
+        true (fused < unfused))
     [
       "/site/regions";
       "/site/regions/europe/item";
@@ -144,10 +123,11 @@ let test_plan_shapes () =
   let mapping = DB.mapping db in
   let chain = parse "/site/regions/europe" in
   let fused_plan =
-    Secshare_core.Simple_query.lower ~fused:true ~mapping ~strictness:QC.Non_strict chain
+    Secshare_core.Simple_query.lower ~mapping ~strictness:QC.Non_strict chain
   in
   let unfused_plan =
-    Secshare_core.Simple_query.lower ~fused:false ~mapping ~strictness:QC.Non_strict chain
+    Secshare_core.Advanced_query.lower ~fused:false ~mapping ~strictness:QC.Non_strict
+      chain
   in
   (* fused: every name test rides in its scan, no separate filters *)
   Alcotest.(check bool)
@@ -160,7 +140,8 @@ let test_plan_shapes () =
     (List.for_all
        (function Plan.Scan { eval; _ } -> eval <> None | _ -> true)
        fused_plan);
-  (* unfused: scans are bare, each step filters separately *)
+  (* unfused (advanced engine): scans are bare, each step filters
+     separately *)
   Alcotest.(check bool)
     "unfused chain plan has bare scans" true
     (List.for_all
@@ -184,9 +165,7 @@ let test_plan_shapes () =
   | _ -> Alcotest.fail "advanced // plan lost its pruned scan");
   (* strict mode never fuses the simple engine's test into the scan:
      the equality test has no containment sieve to ride on *)
-  let strict_plan =
-    Secshare_core.Simple_query.lower ~fused:true ~mapping ~strictness:QC.Strict chain
-  in
+  let strict_plan = Secshare_core.Simple_query.lower ~mapping ~strictness:QC.Strict chain in
   Alcotest.(check bool)
     "strict simple plan keeps bare scans + equality filters" true
     (List.for_all
@@ -218,8 +197,7 @@ let gen_tree_and_query =
   QCheck2.Gen.pair Test_support.gen_tree gen_child_query
 
 let prop_child_queries_match_reference (tree, query) =
-  let fused = db_with ~fused:true ~batching:true tree in
-  let unfused = db_with ~fused:false ~batching:true tree in
+  let db = Test_support.db_of_tree tree in
   let expected_strict = Reference.run tree query in
   let expected_loose = Reference.run ~semantics:Reference.Containment tree query in
   let run db engine strictness =
@@ -227,28 +205,27 @@ let prop_child_queries_match_reference (tree, query) =
     | Ok r -> pres (DB.result_nodes r)
     | Error msg -> failwith msg
   in
-  List.for_all
-    (fun db ->
+  Fun.protect
+    ~finally:(fun () -> DB.close db)
+    (fun () ->
       run db DB.Simple QC.Strict = expected_strict
       && run db DB.Advanced QC.Strict = expected_strict
       && run db DB.Simple QC.Non_strict = expected_loose
       && run db DB.Advanced QC.Non_strict = expected_loose)
-    [ fused; unfused ]
 
 (* --- cursor teardown --- *)
 
 (* A database's parts rewired through a client filter with tiny
    batches, so multi-batch scans (and therefore server cursors) appear
    even on small documents. *)
-let small_batch_parts ?(fused = true) ?(wrap = fun h -> h) () =
+let small_batch_parts ?(wrap = fun h -> h) () =
   let db = Lazy.force xmark_db in
   let server = Server_filter.create (DB.ring db) (DB.table db) in
   let transport =
     Transport.local ~handler:(wrap (Server_filter.handler server))
   in
   let filter =
-    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~batch_size:2
-      ~scan_batch:2 ~fused_scan:fused transport
+    Client_filter.create (DB.ring db) ~seed:Test_support.test_seed ~scan_batch:2 transport
   in
   (server, filter)
 
@@ -259,53 +236,69 @@ let descendants_plan =
   ]
 
 let test_limit_closes_cursors () =
-  List.iter
-    (fun fused ->
-      let server, filter = small_batch_parts ~fused () in
-      let nodes = Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) in
-      check Alcotest.int
-        (Printf.sprintf "limit result size (fused=%b)" fused)
-        3 (List.length nodes);
-      check Alcotest.int
-        (Printf.sprintf "no cursor survives a satisfied limit (fused=%b)" fused)
-        0
-        (Server_filter.open_cursors server))
-    [ true; false ]
+  let server, filter = small_batch_parts () in
+  let nodes = Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) in
+  check Alcotest.int "limit result size" 3 (List.length nodes);
+  check Alcotest.int "no cursor survives a satisfied limit" 0
+    (Server_filter.open_cursors server)
 
 let test_abandoned_pipeline_closes_cursors () =
-  List.iter
-    (fun fused ->
-      let server, filter = small_batch_parts ~fused () in
-      let ops = Operator.build filter descendants_plan in
-      let sink = List.nth ops (List.length ops - 1) in
-      (* pull one batch and walk away: the scan is mid-stream *)
-      (match Operator.next sink with
-      | Some batch -> Alcotest.(check bool) "first batch nonempty" true (Array.length batch > 0)
-      | None -> Alcotest.fail "expected a first batch");
-      Alcotest.(check bool)
-        (Printf.sprintf "scan holds a cursor mid-stream (fused=%b)" fused)
-        true
-        (Server_filter.open_cursors server > 0);
-      List.iter Operator.close ops;
-      check Alcotest.int
-        (Printf.sprintf "close releases the cursor (fused=%b)" fused)
-        0
-        (Server_filter.open_cursors server))
-    [ true; false ]
+  let server, filter = small_batch_parts () in
+  let ops = Operator.build filter descendants_plan in
+  let sink = List.nth ops (List.length ops - 1) in
+  (* pull one batch and walk away: the scan is mid-stream *)
+  (match Operator.next sink with
+  | Some batch -> Alcotest.(check bool) "first batch nonempty" true (Array.length batch > 0)
+  | None -> Alcotest.fail "expected a first batch");
+  Alcotest.(check bool) "scan holds a cursor mid-stream" true
+    (Server_filter.open_cursors server > 0);
+  List.iter Operator.close ops;
+  check Alcotest.int "close releases the cursor" 0 (Server_filter.open_cursors server)
 
 let test_failing_query_closes_cursors () =
   (* evaluations fail, navigation works: the containment filter dies
      while the descendant scan's cursor is mid-stream *)
   let wrap handler = function
-    | (Protocol.Eval _ | Protocol.Eval_batch _) as _req -> Protocol.Error_msg "boom"
+    | Protocol.Eval_batch _ -> Protocol.Error_msg "boom"
     | req -> handler req
   in
-  let server, filter = small_batch_parts ~fused:false ~wrap () in
+  let server, filter = small_batch_parts ~wrap () in
   let plan = descendants_plan @ [ Plan.Filter_containment { points = [ 1 ] } ] in
   (match Operator.run filter plan with
   | _ -> Alcotest.fail "expected the filter to fail"
   | exception Client_filter.Filter_error _ -> ());
   check Alcotest.int "failure tears the cursor down" 0 (Server_filter.open_cursors server)
+
+(* --- scan order --- *)
+
+let test_pruned_scan_level_order () =
+  (* A pruned walk whose levels span several two-row scan batches must
+     keep each level in document order, so every look-ahead Eval_batch
+     after it carries ascending pres (a router splits a non-ascending
+     list into extra partition runs, i.e. extra shard calls). *)
+  let unordered = ref [] in
+  let wrap handler request =
+    (match request with
+    | Protocol.Eval_batch { pres; _ } ->
+        if pres <> List.sort_uniq compare pres then unordered := pres :: !unordered
+    | _ -> ());
+    handler request
+  in
+  let server, filter = small_batch_parts ~wrap () in
+  let db = Lazy.force xmark_db in
+  List.iter
+    (fun q ->
+      let plan =
+        Secshare_core.Advanced_query.lower ~fused:true ~mapping:(DB.mapping db)
+          ~strictness:QC.Non_strict (parse q)
+      in
+      check Alcotest.(list int) (q ^ " result")
+        (query_pres db ~engine:DB.Advanced ~strictness:QC.Non_strict q)
+        (pres (QC.sort_dedup (Operator.run filter plan))))
+    [ "//bidder/date"; "/site//europe//item"; "/site/*/person//city"; "//person/name" ];
+  check Alcotest.int "Eval_batch requests with non-ascending pres" 0
+    (List.length !unordered);
+  check Alcotest.int "no cursor left open" 0 (Server_filter.open_cursors server)
 
 (* --- the --explain counters --- *)
 
@@ -354,9 +347,15 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "paper queries, both engines" `Quick test_golden_results;
-          Alcotest.test_case "fused/batched/per-node agree" `Quick test_config_agreement;
+          Alcotest.test_case "fused and unfused plans agree" `Quick
+            test_fused_unfused_agree;
         ] );
       ("lowering", [ Alcotest.test_case "plan shapes" `Quick test_plan_shapes ]);
+      ( "scan order",
+        [
+          Alcotest.test_case "pruned levels stay in document order" `Quick
+            test_pruned_scan_level_order;
+        ] );
       ( "reference",
         [
           qtest "child-only queries match the plaintext reference" gen_tree_and_query

@@ -105,26 +105,29 @@ module Transport = Secshare_rpc.Transport
 module Protocol = Secshare_rpc.Protocol
 module Server_filter = Secshare_core.Server_filter
 
-(* Open a Descendants cursor over the whole document on a raw
-   transport and pull a single batch, leaving the cursor mid-drain. *)
-let open_dangling_cursor transport =
+(* Open a fused scan over the root's whole subtree through [call] and
+   take a one-row first batch, leaving its cursor mid-drain. *)
+let open_scan_cursor call =
   let root =
-    match Transport.call transport Protocol.Root with
+    match call Protocol.Root with
     | Protocol.Node_opt (Some meta) -> meta
     | r -> Alcotest.failf "root: %a" (fun fmt -> Protocol.pp_response fmt) r
   in
-  (match
-     Transport.call transport
-       (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-   with
-  | Protocol.Cursor id -> id
-  | r -> Alcotest.failf "descendants: %a" (fun fmt -> Protocol.pp_response fmt) r)
-  |> fun cursor ->
-  (match Transport.call transport (Protocol.Cursor_next { cursor; max_items = 1 }) with
-  | Protocol.Batch (_, false) -> ()
-  | Protocol.Batch (_, true) -> Alcotest.fail "document too small: cursor drained"
-  | r -> Alcotest.failf "cursor_next: %a" (fun fmt -> Protocol.pp_response fmt) r);
-  cursor
+  match
+    call
+      (Protocol.Scan_eval
+         {
+           target = Protocol.Pre_ranges [ (root.Protocol.pre, root.Protocol.post + 1) ];
+           points = [];
+           max_items = 1;
+         })
+  with
+  | Protocol.Scan_batch { rows = [ _ ]; cursor = Some id } -> id
+  | Protocol.Scan_batch { cursor = None; _ } ->
+      Alcotest.fail "document too small: scan drained"
+  | r -> Alcotest.failf "scan_eval: %a" (fun fmt -> Protocol.pp_response fmt) r
+
+let open_dangling_cursor transport = open_scan_cursor (Transport.call transport)
 
 let wait_for ~msg predicate =
   let rec go n =
@@ -181,17 +184,7 @@ let test_cursor_ttl_eviction () =
     Server_filter.create ~cursor_ttl:30.0 ~now:(fun () -> !clock) (DB.ring db)
       (DB.table db)
   in
-  let root =
-    match Server_filter.handler filter Protocol.Root with
-    | Protocol.Node_opt (Some meta) -> meta
-    | _ -> Alcotest.fail "no root"
-  in
-  (match
-     Server_filter.handler filter
-       (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-   with
-  | Protocol.Cursor _ -> ()
-  | _ -> Alcotest.fail "no cursor");
+  ignore (open_scan_cursor (Server_filter.handler filter) : int);
   check Alcotest.int "cursor open" 1 (Server_filter.open_cursors filter);
   clock := !clock +. 10.0;
   check Alcotest.int "young cursor survives sweep" 0 (Server_filter.sweep_cursors filter);
@@ -209,25 +202,15 @@ let test_cursor_cap_evicts_lru () =
   let filter =
     Server_filter.create ~max_cursors:3 ~now:(fun () -> !clock) (DB.ring db) (DB.table db)
   in
-  let root =
-    match Server_filter.handler filter Protocol.Root with
-    | Protocol.Node_opt (Some meta) -> meta
-    | _ -> Alcotest.fail "no root"
-  in
   let open_cursor () =
     clock := !clock +. 1.0;
-    match
-      Server_filter.handler filter
-        (Protocol.Descendants { pre = root.Protocol.pre; post = root.Protocol.post })
-    with
-    | Protocol.Cursor id -> id
-    | _ -> Alcotest.fail "no cursor"
+    open_scan_cursor (Server_filter.handler filter)
   in
   let first = open_cursor () in
   let _ = open_cursor () and _ = open_cursor () and _ = open_cursor () in
   check Alcotest.int "cap respected" 3 (Server_filter.open_cursors filter);
   (match
-     Server_filter.handler filter (Protocol.Cursor_next { cursor = first; max_items = 1 })
+     Server_filter.handler filter (Protocol.Scan_next { cursor = first; max_items = 1 })
    with
   | Protocol.Error_msg _ -> () (* the oldest cursor was the LRU victim *)
   | _ -> Alcotest.fail "LRU cursor should have been evicted");

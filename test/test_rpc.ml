@@ -2,6 +2,7 @@ module Wire = Secshare_rpc.Wire
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
 module Server = Secshare_rpc.Server
+module Frame = Secshare_rpc.Frame
 
 let check = Alcotest.check
 let qtest ?(count = 200) name gen prop =
@@ -61,16 +62,9 @@ let gen_request =
         return Protocol.Root;
         map (fun p -> Protocol.Children p) (int_range 0 100000);
         map (fun p -> Protocol.Parent p) (int_range 0 100000);
-        map (fun (a, b) -> Protocol.Descendants { pre = a; post = b })
-          (pair (int_range 0 100000) (int_range 0 100000));
-        map (fun (c, m) -> Protocol.Cursor_next { cursor = c; max_items = m })
-          (pair (int_range 0 1000) (int_range 1 100));
         map (fun c -> Protocol.Cursor_close c) (int_range 0 1000);
-        map (fun (p, x) -> Protocol.Eval { pre = p; point = x })
-          (pair (int_range 0 100000) (int_range 1 82));
         map (fun (ps, x) -> Protocol.Eval_batch { pres = ps; point = x })
           (pair (list_size (int_range 0 20) (int_range 0 100000)) (int_range 1 82));
-        map (fun p -> Protocol.Share p) (int_range 0 100000);
         map (fun ps -> Protocol.Shares ps) (list_size (int_range 0 20) (int_range 0 100000));
         return Protocol.Table_stats;
         map
@@ -98,6 +92,9 @@ let gen_request =
         map (fun (c, m) -> Protocol.Scan_next { cursor = c; max_items = m })
           (pair (int_range 0 1000) (int_range 1 100));
         return Protocol.Manifest;
+        map
+          (fun ps -> Protocol.Agg_eval { pres = ps })
+          (list_size (int_range 0 20) (int_range 0 100000));
       ])
 
 let gen_bytes = QCheck2.Gen.(map Bytes.of_string (string_size (int_range 0 50)))
@@ -169,10 +166,27 @@ let fuzz_suite =
         end);
   ]
 
+(* A frame in the wire shape of one of the retired per-node requests:
+   tag 4 (subtree cursor open: pre, post), 5 (cursor drain: cursor,
+   max_items), 7 (one-node evaluation: pre, point) or 9 (one-share
+   fetch: pre). *)
+let retired_request tag =
+  let w = Wire.writer () in
+  Wire.write_u8 w tag;
+  Wire.write_u32 w 1;
+  if tag <> 9 then Wire.write_u32 w 2;
+  Wire.contents w
+
 let test_decode_garbage () =
   (match Protocol.decode_request "\xFF" with
   | exception Wire.Decode_error _ -> ()
   | _ -> Alcotest.fail "bad tag accepted");
+  List.iter
+    (fun tag ->
+      match Protocol.decode_request (retired_request tag) with
+      | exception Wire.Decode_error _ -> ()
+      | _ -> Alcotest.failf "retired request tag %d accepted" tag)
+    [ 4; 5; 7; 9 ];
   (match Protocol.decode_request "" with
   | exception Wire.Decode_error _ -> ()
   | _ -> Alcotest.fail "empty accepted");
@@ -182,19 +196,22 @@ let test_decode_garbage () =
 
 (* --- transports --- *)
 
-(* A tiny handler: Eval returns pre + point, Children returns one fake
-   node, everything else pongs. *)
+(* A tiny handler: Eval_batch returns pre + point per node, Children
+   returns one fake node, everything else pongs. *)
 let toy_handler : Protocol.request -> Protocol.response = function
-  | Protocol.Eval { pre; point } -> Protocol.Value (pre + point)
+  | Protocol.Eval_batch { pres; point } ->
+      Protocol.Values (List.map (fun pre -> pre + point) pres)
   | Protocol.Children parent ->
       Protocol.Nodes [ { Protocol.pre = parent + 1; post = parent + 2; parent } ]
-  | Protocol.Share pre -> Protocol.Share_data (Bytes.make (pre mod 10) 'z')
   | _ -> Protocol.Pong
+
+(* The toy handler's one-node evaluation request. *)
+let eval pre point = Protocol.Eval_batch { pres = [ pre ]; point }
 
 let test_local_transport () =
   let t = Transport.local ~handler:toy_handler in
-  (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-  | Protocol.Value 42 -> ()
+  (match Transport.call t (eval 40 2) with
+  | Protocol.Values [ 42 ] -> ()
   | r -> Alcotest.failf "unexpected %s" (Format.asprintf "%a" Protocol.pp_response r));
   let counters = Transport.counters t in
   check Alcotest.int "calls" 1 counters.Transport.calls;
@@ -213,8 +230,8 @@ let test_socket_transport () =
       | Error e -> Alcotest.fail e
       | Ok t ->
           for i = 0 to 20 do
-            match Transport.call t (Protocol.Eval { pre = i; point = 1 }) with
-            | Protocol.Value v -> check Alcotest.int "value" (i + 1) v
+            match Transport.call t (eval i 1) with
+            | Protocol.Values [ v ] -> check Alcotest.int "value" (i + 1) v
             | r -> Alcotest.failf "unexpected %s" (Format.asprintf "%a" Protocol.pp_response r)
           done;
           (match Transport.call t (Protocol.Children 7) with
@@ -237,8 +254,8 @@ let test_socket_multiple_clients () =
       in
       List.iteri
         (fun i t ->
-          match Transport.call t (Protocol.Eval { pre = 100 * i; point = 5 }) with
-          | Protocol.Value v -> check Alcotest.int "value" ((100 * i) + 5) v
+          match Transport.call t (eval (100 * i) 5) with
+          | Protocol.Values [ v ] -> check Alcotest.int "value" ((100 * i) + 5) v
           | _ -> Alcotest.fail "call failed")
         clients;
       List.iter Transport.close clients)
@@ -266,10 +283,44 @@ let test_server_survives_handler_exception () =
           | Protocol.Error_msg _ -> ()
           | _ -> Alcotest.fail "expected handler error");
           (* connection must still work *)
-          (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-          | Protocol.Value 2 -> ()
+          (match Transport.call t (eval 1 1) with
+          | Protocol.Values [ 2 ] -> ()
           | _ -> Alcotest.fail "connection broken after handler error");
           Transport.close t)
+
+let test_retired_opcodes_over_socket () =
+  (* the event-loop server answers a frame carrying a retired request
+     tag with a codec error and keeps serving the same connection *)
+  let path = Filename.temp_file "ssdb" ".sock" in
+  Sys.remove path;
+  let server = Server.start ~path ~handler:toy_handler in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let exchange payload =
+            Frame.send fd payload;
+            Protocol.decode_response (Frame.recv fd)
+          in
+          List.iter
+            (fun tag ->
+              (match exchange (retired_request tag) with
+              | Protocol.Error_msg msg ->
+                  check Alcotest.bool
+                    (Printf.sprintf "tag %d: codec error (%s)" tag msg)
+                    true
+                    (String.length msg >= 7 && String.sub msg 0 7 = "codec: ")
+              | r -> Alcotest.failf "tag %d: expected an error, got %a" tag
+                       Protocol.pp_response r);
+              match exchange (Protocol.encode_request (eval 40 2)) with
+              | Protocol.Values [ 42 ] -> ()
+              | r -> Alcotest.failf "tag %d: connection broken: %a" tag
+                       Protocol.pp_response r)
+            [ 4; 5; 7; 9 ]))
 
 (* --- resilience: deadlines, retry, reconnect, drain --- *)
 
@@ -324,8 +375,8 @@ let test_retry_reconnects () =
     (fun n -> if n = 1 then Some Flaky.Close_before_reply else None)
     (fun _flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-      | Protocol.Value 42 -> ()
+      (match Transport.call t (eval 40 2) with
+      | Protocol.Values [ 42 ] -> ()
       | r -> Alcotest.failf "expected recovery, got %a" Protocol.pp_response r);
       let counters = Transport.counters t in
       check Alcotest.int "one retry" 1 counters.Transport.retries;
@@ -337,21 +388,21 @@ let test_truncated_reply_recovers () =
     (fun n -> if n = 1 then Some Flaky.Truncate_reply else None)
     (fun _flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-      | Protocol.Value 2 -> ()
+      (match Transport.call t (eval 1 1) with
+      | Protocol.Values [ 2 ] -> ()
       | r -> Alcotest.failf "expected recovery, got %a" Protocol.pp_response r);
       check Alcotest.bool "reconnected" true
         ((Transport.counters t).Transport.reconnects >= 1);
       Transport.close t)
 
-let test_cursor_next_never_retried () =
-  (* Cursor_next is not idempotent (a resend could skip a batch): the
+let test_scan_next_never_retried () =
+  (* Scan_next is not idempotent (a resend could skip a batch): the
      failure must surface instead of being retried *)
   with_flaky ~handler:toy_handler
     (fun n -> if n = 1 then Some Flaky.Close_before_reply else None)
     (fun flaky path ->
       let t = must_connect ~policy:fast_policy path in
-      (match Transport.call t (Protocol.Cursor_next { cursor = 1; max_items = 4 }) with
+      (match Transport.call t (Protocol.Scan_next { cursor = 1; max_items = 4 }) with
       | Protocol.Error_msg _ -> ()
       | r -> Alcotest.failf "expected failure, got %a" Protocol.pp_response r);
       check Alcotest.int "no retries" 0 (Transport.counters t).Transport.retries;
@@ -371,8 +422,8 @@ let test_protocol_error_not_retried () =
             (String.length msg >= 5 && String.sub msg 0 5 = "codec")
       | r -> Alcotest.failf "expected codec error, got %a" Protocol.pp_response r);
       check Alcotest.int "no retries" 0 (Transport.counters t).Transport.retries;
-      (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-      | Protocol.Value 2 -> ()
+      (match Transport.call t (eval 1 1) with
+      | Protocol.Values [ 2 ] -> ()
       | r -> Alcotest.failf "connection broken: %a" Protocol.pp_response r);
       check Alcotest.int "no reconnect" 0 (Transport.counters t).Transport.reconnects;
       Transport.close t)
@@ -388,16 +439,16 @@ let test_server_restart_recovery () =
       ~policy:{ fast_policy with Transport.max_retries = 5; call_timeout = Some 1.0 }
       path
   in
-  (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
-  | Protocol.Value 2 -> ()
+  (match Transport.call t (eval 1 1) with
+  | Protocol.Values [ 2 ] -> ()
   | r -> Alcotest.failf "before restart: %a" Protocol.pp_response r);
   Server.stop server;
   let server = Server.start ~path ~handler:toy_handler in
   Fun.protect
     ~finally:(fun () -> Server.stop server)
     (fun () ->
-      (match Transport.call t (Protocol.Eval { pre = 40; point = 2 }) with
-      | Protocol.Value 42 -> ()
+      (match Transport.call t (eval 40 2) with
+      | Protocol.Values [ 42 ] -> ()
       | r -> Alcotest.failf "after restart: %a" Protocol.pp_response r);
       check Alcotest.bool "reconnected" true
         ((Transport.counters t).Transport.reconnects >= 1);
@@ -415,7 +466,7 @@ let test_stopped_server_fails_fast () =
   | r -> Alcotest.failf "ping failed: %a" Protocol.pp_response r);
   Server.stop server;
   let t0 = Unix.gettimeofday () in
-  (match Transport.call t (Protocol.Eval { pre = 1; point = 1 }) with
+  (match Transport.call t (eval 1 1) with
   | Protocol.Error_msg _ -> ()
   | r -> Alcotest.failf "expected failure, got %a" Protocol.pp_response r);
   let elapsed = Unix.gettimeofday () -. t0 in
@@ -427,7 +478,7 @@ let test_graceful_drain () =
      out) before returning, then leave no handler thread behind *)
   let slow_handler request =
     match request with
-    | Protocol.Eval _ ->
+    | Protocol.Eval_batch _ ->
         Thread.delay 0.3;
         toy_handler request
     | r -> toy_handler r
@@ -439,7 +490,7 @@ let test_graceful_drain () =
   let result = ref None in
   let client =
     Thread.create
-      (fun () -> result := Some (Transport.call t (Protocol.Eval { pre = 40; point = 2 })))
+      (fun () -> result := Some (Transport.call t (eval 40 2)))
       ()
   in
   Thread.delay 0.1;
@@ -448,7 +499,7 @@ let test_graceful_drain () =
   let stop_elapsed = Unix.gettimeofday () -. t0 in
   Thread.join client;
   (match !result with
-  | Some (Protocol.Value 42) -> ()
+  | Some (Protocol.Values [ 42 ]) -> ()
   | Some r -> Alcotest.failf "in-flight request lost: %a" Protocol.pp_response r
   | None -> Alcotest.fail "client never finished");
   check Alcotest.bool "stop waited for the in-flight request" true (stop_elapsed > 0.05);
@@ -524,8 +575,8 @@ let test_many_concurrent_connections () =
           for round = 1 to 3 do
             Array.iteri
               (fun i t ->
-                match Transport.call t (Protocol.Eval { pre = 40 + i; point = round }) with
-                | Protocol.Value v ->
+                match Transport.call t (eval (40 + i) round) with
+                | Protocol.Values [ v ] ->
                     check Alcotest.int
                       (Printf.sprintf "conn %d round %d" i round)
                       (40 + i + round) v
@@ -555,6 +606,8 @@ let () =
           Alcotest.test_case "connect failure" `Quick test_socket_connect_failure;
           Alcotest.test_case "handler exceptions contained" `Quick
             test_server_survives_handler_exception;
+          Alcotest.test_case "retired opcodes answered with codec error" `Quick
+            test_retired_opcodes_over_socket;
         ] );
       ( "resilience",
         [
@@ -562,8 +615,8 @@ let () =
           Alcotest.test_case "retry reconnects" `Quick test_retry_reconnects;
           Alcotest.test_case "truncated reply recovers" `Quick
             test_truncated_reply_recovers;
-          Alcotest.test_case "cursor_next never retried" `Quick
-            test_cursor_next_never_retried;
+          Alcotest.test_case "scan_next never retried" `Quick
+            test_scan_next_never_retried;
           Alcotest.test_case "protocol errors not retried" `Quick
             test_protocol_error_not_retried;
           Alcotest.test_case "server restart recovery" `Quick

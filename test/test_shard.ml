@@ -462,6 +462,24 @@ let test_mid_scan_failover () =
       check Alcotest.int "the dead shard was noticed" 2 (Router.live_shards d.router);
       check Alcotest.int "no cursor leaks" 0 (Router.open_cursors d.router))
 
+let test_connect_refuses_q257 () =
+  (* q = 257 fails the field admission rule before any shard socket is
+     opened: the live server below never sees a connection *)
+  let path = Filename.temp_file "ssdb-shard" ".sock" in
+  Sys.remove path;
+  let server = Secshare_rpc.Server.start ~path ~handler:(fun _ -> Protocol.Pong) in
+  Fun.protect
+    ~finally:(fun () -> Secshare_rpc.Server.stop server)
+    (fun () ->
+      (match Router.connect ~p:257 ~e:1 [ path ] with
+      | Error msg ->
+          check Alcotest.bool ("names the bound: " ^ msg) true (contains ~sub:"bound" msg)
+      | Ok router ->
+          Router.close router;
+          Alcotest.fail "router accepted q = 257");
+      check Alcotest.int "no shard connection attempted" 0
+        (Secshare_rpc.Server.stats server).Secshare_rpc.Server.connections_accepted)
+
 let test_connection_scoped_cursors () =
   let d = make_deployment xmark_tree in
   Fun.protect
@@ -509,6 +527,7 @@ let () =
             test_router_golden;
           Alcotest.test_case "trivial 1-shard deployment" `Quick
             test_router_single_shard;
+          Alcotest.test_case "connect refuses q = 257" `Quick test_connect_refuses_q257;
           test_router_qcheck;
         ] );
       ( "degradation",
