@@ -351,7 +351,7 @@ let () =
             test_fused_unfused_agree;
         ] );
       ("lowering", [ Alcotest.test_case "plan shapes" `Quick test_plan_shapes ]);
-      ( "scan order",
+      ( "ordering",
         [
           Alcotest.test_case "pruned levels stay in document order" `Quick
             test_pruned_scan_level_order;
