@@ -811,7 +811,7 @@ let micro () =
    gate is on the *ratio* kernel-vs-reference (machine-independent),
    never on absolute nanoseconds. *)
 let kernel () =
-  heading "Flat field kernels vs reference (containment + equality)";
+  heading "Flat field kernels vs reference (containment, equality, client regeneration)";
   let db = xmark_db 100_000 in
   let ring = DB.ring db in
   let table = DB.table db in
@@ -924,6 +924,83 @@ let kernel () =
       ("ref_us_per_product", J_float ref_us);
       ("kernel_us_per_product", J_float ker_us);
       ("speedup", J_float e_speedup);
+      ("identical", J_int 1);
+    ];
+  (* client regeneration + evaluation: a node's client share drawn
+     from its continuous keystream and evaluated through [Cyclic],
+     against the block-order generator and the flat Horner kernel *)
+  let module Chacha20 = Secshare_prg.Chacha20 in
+  let module Node_prg = Secshare_prg.Node_prg in
+  let q = ring.Secshare_poly.Ring.order in
+  let reference_coeffs pre =
+    let key = Secshare_prg.Seed.to_bytes seed in
+    let nonce = Bytes.make Chacha20.nonce_length '\000' in
+    Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+    Bytes.blit_string "poly" 0 nonce 8 4;
+    let accept_below = 256 - (256 mod q) in
+    let rec attempt len =
+      let ks = Chacha20.keystream ~key ~nonce ~counter:0 len in
+      let out = Array.make n 0 in
+      let rec go i pos =
+        if i = n then Some out
+        else if pos = len then None
+        else
+          let v = Bytes.get_uint8 ks pos in
+          if v < accept_below then begin
+            out.(i) <- v mod q;
+            go (i + 1) (pos + 1)
+          end
+          else go i (pos + 1)
+      in
+      match go 0 0 with Some out -> out | None -> attempt (2 * len)
+    in
+    attempt (max 64 n)
+  in
+  let pres = Array.init (if !quick then 512 else 2048) (fun i -> (i * 7) + 1) in
+  let npres = Array.length pres in
+  let values = Array.make npres 0 in
+  (* each side is the best of five timed passes, so one scheduler
+     hiccup on a noisy host cannot sink the ratio *)
+  let passes = 5 and rounds = if !quick then 4 else 10 in
+  let best_of f =
+    List.fold_left min infinity (List.init passes (fun _ -> snd (time_it f)))
+  in
+  let ref_s =
+    best_of (fun () ->
+        for _ = 1 to rounds do
+          Array.iteri
+            (fun i pre ->
+              values.(i) <-
+                Cyclic.eval ring (Cyclic.of_int_array ring (reference_coeffs pre)) point)
+            pres
+        done)
+  in
+  let expect = Array.copy values in
+  Array.fill values 0 npres (-1);
+  let prg = Node_prg.create seed in
+  let coeffs = Array.make n 0 in
+  let ker_s =
+    best_of (fun () ->
+        for _ = 1 to rounds do
+          for i = 0 to npres - 1 do
+            Node_prg.fill prg ~pre:pres.(i) ~q coeffs;
+            values.(i) <- Flat.eval_coeffs tab ~mul_row coeffs
+          done
+        done)
+  in
+  if values <> expect then failwith "kernel bench: client regeneration results differ";
+  let regens = float_of_int (rounds * npres) in
+  let ref_ns = ref_s /. regens *. 1e9 and ker_ns = ker_s /. regens *. 1e9 in
+  let r_speedup = ref_ns /. ker_ns in
+  printf "%-24s %12.1f %12.1f %8.2fx  (%d pres, identical values)\n"
+    "client-regen-eval" ref_ns ker_ns r_speedup npres;
+  record "kernel"
+    [
+      ("op", J_str "client-regen-eval");
+      ("pres", J_int npres);
+      ("ref_ns_per_regen", J_float ref_ns);
+      ("kernel_ns_per_regen", J_float ker_ns);
+      ("speedup", J_float r_speedup);
       ("identical", J_int 1);
     ]
 

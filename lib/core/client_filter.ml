@@ -1,6 +1,5 @@
 module Protocol = Secshare_rpc.Protocol
 module Transport = Secshare_rpc.Transport
-module Cyclic = Secshare_poly.Cyclic
 module Obs = Secshare_obs
 
 exception Filter_error of string
@@ -21,29 +20,41 @@ let obs_cache_evictions =
 
 type t = {
   ring : Secshare_poly.Ring.t;
-  seed : Secshare_prg.Seed.t;
   tab : Secshare_field.Table.t;  (** the ring's flat op-tables *)
+  prg : Secshare_prg.Node_prg.t;  (** the seed, expanded once *)
   transport : Transport.t;
   scan_batch : int;
   metrics : Metrics.t;
-  share_cache : (int, Cyclic.t) Lru.t option;
-      (* pre -> regenerated client polynomial; [Cyclic] ops are pure,
-         so cached polynomials can never be mutated through use *)
+  share_cache : (int, int array) Lru.t option;
+      (* pre -> regenerated client coefficients; nothing ever writes a
+         cached array (every write goes to the scratch buffers below) *)
   eval_cache : (int * int, int) Lru.t option;
       (* (pre, point) -> client evaluation, so a repeated query skips
          even the O(degree) Horner pass *)
+  node : int array;
+  child : int array;
+  product : int array;
+  spare : int array;
+      (* equality-test scratch, [ring.n] coefficients each: the node's
+         reconstructed polynomial, one child's, and the ping-pong pair
+         the child product folds through *)
 }
 
 let create ring ~seed ?(scan_batch = 256) ?(share_cache = 4096) transport =
+  let n = ring.Secshare_poly.Ring.n in
   {
     ring;
-    seed;
     tab = Share.kernel_table ring;
+    prg = Secshare_prg.Node_prg.create seed;
     transport;
     scan_batch = max 1 scan_batch;
     metrics = Metrics.create ();
     share_cache = (if share_cache <= 0 then None else Some (Lru.create share_cache));
     eval_cache = (if share_cache <= 0 then None else Some (Lru.create (4 * share_cache)));
+    node = Array.make n 0;
+    child = Array.make n 0;
+    product = Array.make n 0;
+    spare = Array.make n 0;
   }
 
 let metrics t = t.metrics
@@ -63,40 +74,47 @@ let fused_scan _ = true
 let share_cache_stats t = Option.map Lru.stats t.share_cache
 let share_cache_capacity t = Option.fold ~none:0 ~some:Lru.capacity t.share_cache
 
-(* Regenerate (or recall) the client polynomial for [pre]. *)
-let client_poly t ~pre =
+let regenerate t ~pre out =
+  Secshare_prg.Node_prg.fill t.prg ~pre ~q:t.ring.Secshare_poly.Ring.order out
+
+(* The client coefficients of node [pre]: recalled from the cache,
+   or regenerated into a fresh array the cache keeps, or, with the
+   cache off, regenerated into [scratch]. *)
+let client_coeffs t ~pre ~scratch =
   match t.share_cache with
-  | None -> Share.client t.ring ~seed:t.seed ~pre
+  | None ->
+      regenerate t ~pre scratch;
+      scratch
   | Some cache -> (
       match Lru.find cache pre with
-      | Some poly ->
+      | Some coeffs ->
           Obs.Registry.inc obs_cache_hits;
-          poly
+          coeffs
       | None ->
           Obs.Registry.inc obs_cache_misses;
-          let poly = Share.client t.ring ~seed:t.seed ~pre in
+          let coeffs = Array.make t.ring.Secshare_poly.Ring.n 0 in
+          regenerate t ~pre coeffs;
           let before = (Lru.stats cache).Lru.evictions in
-          Lru.add cache ~key:pre ~value:poly;
+          Lru.add cache ~key:pre ~value:coeffs;
           Obs.Registry.inc ~by:((Lru.stats cache).Lru.evictions - before)
             obs_cache_evictions;
-          poly)
+          coeffs)
 
-(* Evaluate a regenerated client polynomial: the flat Horner kernel
-   over the cached coefficient buffer — no unpacking, no closure
-   calls.  The zero point is rejected by [Flat.point_row]. *)
-let eval_poly t poly point =
+(* Evaluate the client share: the flat Horner kernel over the client
+   coefficients — no unpacking, no closure calls.  The zero point is
+   rejected by [Flat.point_row]. *)
+let eval_client t ~pre point =
   Secshare_poly.Flat.eval_coeffs t.tab
     ~mul_row:
       (Secshare_poly.Flat.point_row t.tab
          ~point:(t.ring.Secshare_poly.Ring.normalize point))
-    (Cyclic.view poly)
+    (client_coeffs t ~pre ~scratch:t.node)
 
 let client_eval t ~pre ~point =
   match t.eval_cache with
-  | None -> eval_poly t (client_poly t ~pre) point
+  | None -> eval_client t ~pre point
   | Some cache ->
-      Lru.find_or_add cache (pre, point) ~compute:(fun _ ->
-          eval_poly t (client_poly t ~pre) point)
+      Lru.find_or_add cache (pre, point) ~compute:(fun _ -> eval_client t ~pre point)
 
 let call t request =
   match Transport.call t.transport request with
@@ -207,9 +225,7 @@ let agg_eval t pres =
 (* The client's half of an aggregate: the sum of the PRG blinding
    values the encoder subtracted from each matched leaf. *)
 let blind_sum t pres =
-  List.fold_left
-    (fun acc pre -> Numeric.add acc (Numeric.blind ~seed:t.seed ~pre))
-    0 pres
+  List.fold_left (fun acc pre -> Numeric.add acc (Numeric.blind_with t.prg ~pre)) 0 pres
 
 let fetch_shares t pres =
   match call t (Protocol.Shares pres) with
@@ -219,49 +235,72 @@ let fetch_shares t pres =
       shares
   | response -> protocol_error "Shares" response
 
-(* The equality test's product of child polynomials: two scratch
-   buffers ping-pong through [Flat.mul_into], so an arbitrarily wide
-   node costs exactly two allocations.  Same fold order and field ops
-   as a [Cyclic.mul] fold (the tables are built from them), so the
-   product is bit-identical to it. *)
-let product_of_children t child_polys =
-  match child_polys with
-  | [] -> Cyclic.one t.ring
-  | first :: rest ->
-      let n = t.ring.Secshare_poly.Ring.n in
-      let acc = ref (Array.copy (Cyclic.view first)) in
-      let scratch = ref (Array.make n 0) in
-      List.iter
-        (fun p ->
-          Secshare_poly.Flat.mul_into t.tab ~n ~a:!acc ~b:(Cyclic.view p)
-            ~out:!scratch;
-          let swap = !acc in
-          acc := !scratch;
-          scratch := swap)
-        rest;
-      Cyclic.of_int_array t.ring !acc
+(* Node [pre]'s polynomial, client half plus the packed server half,
+   rebuilt in the scratch buffer [out]. *)
+let reconstruct_into t ~pre share ~out =
+  let client = client_coeffs t ~pre ~scratch:out in
+  let n = t.ring.Secshare_poly.Ring.n in
+  match Secshare_poly.Flat.add_share_into t.tab ~n share ~client ~out with
+  | () -> ()
+  | exception Invalid_argument msg -> raise (Filter_error ("malformed share: " ^ msg))
 
-let reconstruct t ~pre share_bytes =
-  let server = Secshare_poly.Codec.unpack_cyclic t.ring share_bytes in
-  (* client + server, with the client half served from the cache *)
-  Cyclic.add t.ring (client_poly t ~pre) server
+(* The product of the children's polynomials, folded through the
+   [product]/[spare] ping-pong by [Flat.mul_into]: the same fold order
+   and field ops as a [Cyclic.mul] fold (the tables are built from
+   them), so the product is bit-identical to it.  Returns the buffer
+   holding the result. *)
+let product_of_children t pres shares =
+  let n = t.ring.Secshare_poly.Ring.n in
+  let rec fold acc spare pres shares =
+    match (pres, shares) with
+    | pre :: pres, share :: shares ->
+        reconstruct_into t ~pre share ~out:t.child;
+        Secshare_poly.Flat.mul_into t.tab ~n ~a:acc ~b:t.child ~out:spare;
+        fold spare acc pres shares
+    | _ -> acc
+  in
+  match (pres, shares) with
+  | pre :: pres, share :: shares ->
+      reconstruct_into t ~pre share ~out:t.product;
+      fold t.product t.spare pres shares
+  | _ ->
+      Array.fill t.product 0 n 0;
+      t.product.(0) <- 1;
+      t.product
+
+(* [Cyclic.recover_linear_factor] over the scratch buffers, with the
+   same field ops: f = (x - v).g  <=>  v.g = x.g - f coefficient-wise,
+   where (x.g)_i = g_(i-1 mod n). *)
+let recover_linear_factor (r : Secshare_poly.Ring.t) ~product ~node =
+  let n = r.Secshare_poly.Ring.n in
+  let target i = r.Secshare_poly.Ring.sub product.((i + n - 1) mod n) node.(i) in
+  let pivot = ref 0 in
+  while !pivot < n && product.(!pivot) = 0 do
+    incr pivot
+  done;
+  if !pivot = n then Error `Degenerate
+  else begin
+    let v = r.Secshare_poly.Ring.div (target !pivot) product.(!pivot) in
+    let i = ref 0 in
+    while !i < n && r.Secshare_poly.Ring.mul v product.(!i) = target !i do
+      incr i
+    done;
+    if !i = n then Ok v else Error `Not_linear
+  end
 
 let tag_value t (meta : Protocol.node_meta) =
   let child_metas = children t ~pre:meta.Protocol.pre in
-  let pres =
-    meta.Protocol.pre :: List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) child_metas
-  in
-  let shares = fetch_shares t pres in
-  let polys = List.map2 (fun pre share -> reconstruct t ~pre share) pres shares in
-  t.metrics.Metrics.equality_tests <- t.metrics.Metrics.equality_tests + 1;
-  t.metrics.Metrics.reconstructions <-
-    t.metrics.Metrics.reconstructions + List.length polys;
-  t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
-  match polys with
+  let child_pres = List.map (fun (m : Protocol.node_meta) -> m.Protocol.pre) child_metas in
+  match fetch_shares t (meta.Protocol.pre :: child_pres) with
   | [] -> assert false
-  | node_poly :: child_polys -> (
-      let product = product_of_children t child_polys in
-      match Cyclic.recover_linear_factor t.ring ~product ~node:node_poly with
+  | share :: child_shares -> (
+      reconstruct_into t ~pre:meta.Protocol.pre share ~out:t.node;
+      let product = product_of_children t child_pres child_shares in
+      t.metrics.Metrics.equality_tests <- t.metrics.Metrics.equality_tests + 1;
+      t.metrics.Metrics.reconstructions <-
+        t.metrics.Metrics.reconstructions + 1 + List.length child_pres;
+      t.metrics.Metrics.nodes_examined <- t.metrics.Metrics.nodes_examined + 1;
+      match recover_linear_factor t.ring ~product ~node:t.node with
       | Ok value -> Some value
       | Error `Degenerate ->
           t.metrics.Metrics.degenerate_divisions <-

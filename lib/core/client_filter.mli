@@ -27,9 +27,11 @@ val create :
     client holds at most one batch of scanned rows at a time.
     [share_cache] (default 4096
     polynomials, 0 = off) bounds the LRU cache of regenerated client
-    polynomials keyed by [pre]; regeneration is a pure function of the
-    seed and [pre], so a cached entry is exact forever and eviction
-    can only cost time, never correctness.  An evaluation memo keyed
+    coefficient vectors keyed by [pre]; regeneration is a pure function
+    of the seed and [pre], so a cached entry is exact forever and
+    eviction can only cost time, never correctness.  The filter owns
+    one {!Secshare_prg.Node_prg} generator and the equality test's
+    scratch buffers, so like its metrics it serves one thread.  An evaluation memo keyed
     by [(pre, point)] rides along at 4x that capacity and is dropped
     by {!reset_metrics}.
     @raise Invalid_argument when the ring's field order exceeds 256
@@ -129,7 +131,11 @@ val tag_value : t -> Secshare_rpc.Protocol.node_meta -> int option
 (** Strict machinery: reconstruct the node and all its children,
     divide out the child product and return the node's own mapped
     value.  [None] when the division is degenerate (counted in the
-    metrics). *)
+    metrics).  Everything is rebuilt in the filter's scratch buffers,
+    bit-identically to [Cyclic.add], a [Cyclic.mul] fold and
+    [Cyclic.recover_linear_factor].
+    @raise Filter_error when a server share is short or decodes to a
+    coefficient outside the field. *)
 
 val equality : t -> Secshare_rpc.Protocol.node_meta -> point:int -> bool
 (** Strict: is the node itself mapped to [point]? *)

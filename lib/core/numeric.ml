@@ -1,6 +1,3 @@
-module Chacha20 = Secshare_prg.Chacha20
-module Seed = Secshare_prg.Seed
-
 let modulus = (1 lsl 61) - 1
 let default_scale = 2
 let max_magnitude = (modulus - 1) / 2
@@ -84,45 +81,37 @@ let parse_decimal ~scale s =
 
 (* --- PRG draws ------------------------------------------------------- *)
 
-(* Same nonce shape as [Node_prg] (8 bytes of pre, 4-byte tag) but a
-   different tag, so numeric blinds and polynomial coefficients come
-   from disjoint ChaCha20 streams under one seed. *)
-let nonce ~pre ~tag =
-  let nonce = Bytes.make Chacha20.nonce_length '\000' in
-  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
-  Bytes.blit_string tag 0 nonce 8 4;
-  nonce
+(* The polynomial generator's block-order reader under other 4-byte
+   tags, so numeric blinds and polynomial coefficients come from
+   disjoint ChaCha20 streams under one seed. *)
+module Node_prg = Secshare_prg.Node_prg
 
 let mask61 = (1 lsl 61) - 1
+
+(* 61 masked bits of an 8-byte little-endian draw are uniform over
+   [0, 2^61); only the single value 2^61 - 1 = M falls outside the
+   field and is redrawn *)
+let rec draw prg =
+  let v = ref 0 in
+  for i = 0 to 7 do
+    v := !v lor (Node_prg.next_byte prg lsl (8 * i))
+  done;
+  let v = !v land mask61 in
+  if v < modulus then v else draw prg
 
 let draws ~seed ~pre ~tag ~count =
   if pre < 0 then invalid_arg "Numeric: negative pre";
   if count < 0 then invalid_arg "Numeric: negative count";
-  let key = Seed.to_bytes seed in
-  let nonce = nonce ~pre ~tag in
-  let out = Array.make count 0 in
-  let buf = ref (Chacha20.keystream ~key ~nonce ~counter:0 (max 64 (count * 8))) in
-  let pos = ref 0 in
-  let next_counter = ref (Bytes.length !buf / 64) in
-  let refill () =
-    let extra = Chacha20.keystream ~key ~nonce ~counter:!next_counter 64 in
-    next_counter := !next_counter + 1;
-    buf := Bytes.cat !buf extra
-  in
-  (* 61 masked bits are uniform over [0, 2^61); only the single value
-     2^61 - 1 = M falls outside the field and is redrawn *)
-  let rec draw () =
-    if !pos + 8 > Bytes.length !buf then refill ();
-    let v = Int64.to_int (Bytes.get_int64_le !buf !pos) land mask61 in
-    pos := !pos + 8;
-    if v < modulus then v else draw ()
-  in
-  for i = 0 to count - 1 do
-    out.(i) <- draw ()
-  done;
-  out
+  let prg = Node_prg.create seed in
+  Node_prg.start prg ~pre ~tag;
+  Array.init count (fun _ -> draw prg)
 
-let blind ~seed ~pre = (draws ~seed ~pre ~tag:"nval" ~count:1).(0)
+let blind_with prg ~pre =
+  if pre < 0 then invalid_arg "Numeric: negative pre";
+  Node_prg.start prg ~pre ~tag:"nval";
+  draw prg
+
+let blind ~seed ~pre = blind_with (Node_prg.create seed) ~pre
 let dealer_draws ~seed ~pre ~count = draws ~seed ~pre ~tag:"ndea" ~count
 
 (* --- Shamir over F_M ------------------------------------------------- *)

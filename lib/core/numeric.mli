@@ -57,6 +57,10 @@ val blind : seed:Secshare_prg.Seed.t -> pre:int -> int
     element from a ChaCha20 stream keyed by the seed, domain-separated
     from the polynomial-share PRG ({!Secshare_prg.Node_prg}). *)
 
+val blind_with : Secshare_prg.Node_prg.t -> pre:int -> int
+(** {!blind} through a caller-owned generator for the same seed:
+    allocates nothing. *)
+
 val dealer_draws :
   seed:Secshare_prg.Seed.t -> pre:int -> count:int -> int array
 (** [count] uniform field elements for the offline dealer (Shamir

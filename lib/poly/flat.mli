@@ -55,6 +55,23 @@ val eval_share_batch :
     itself allocates nothing.
     @raise Invalid_argument if [out] is shorter than the batch. *)
 
+val add_share_into :
+  Secshare_field.Table.t ->
+  n:int ->
+  Bytes.t ->
+  client:int array ->
+  out:int array ->
+  unit
+(** [add_share_into tab ~n share ~client ~out] writes
+    [out.(i) <- client.(i) + s_i] for the [n] coefficients [s_i]
+    decoded from the {!Codec}-packed server [share]: the client half
+    plus the server half, i.e. the node's reconstructed polynomial,
+    without the reference path's [Codec.unpack] array.  Bit-identical
+    to [Cyclic.add] of the two halves.  [out] may be [client] itself.
+    Validates exactly like [Codec.unpack]:
+    @raise Invalid_argument if the share is short, a decoded
+    coefficient is outside [0, q), or a buffer is shorter than [n]. *)
+
 val mul_into :
   Secshare_field.Table.t ->
   n:int ->

@@ -28,14 +28,12 @@ let split_table (ring : Ring.t) ~threshold ~shards ~dealer_seed ~source ~sinks =
       (Printf.sprintf "Split.split_table: %d sinks for %d shards"
          (Array.length sinks) shards);
   let q = ring.Ring.order and n = ring.Ring.n in
-  let draws_per_row = (threshold - 1) * n in
+  let prg = Node_prg.create dealer_seed in
+  let draws = Array.make (max 0 ((threshold - 1) * n)) 0 in
   Node_table.iter source ~f:(fun row ->
       (* one PRG stream per row, keyed by pre: threshold - 1 dealer
          draws per coefficient, consumed left to right *)
-      let draws =
-        Node_prg.coefficients ~seed:dealer_seed ~pre:row.Page.pre ~q
-          ~count:draws_per_row
-      in
+      Node_prg.fill prg ~pre:row.Page.pre ~q draws;
       let next = ref 0 in
       let gen () =
         let v = draws.(!next) in

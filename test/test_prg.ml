@@ -216,6 +216,95 @@ let test_client_poly_matches_coefficients () =
   let raw = Node_prg.coefficients ~seed:seed_a ~pre:9 ~q:83 ~count:82 in
   check Alcotest.(array int) "same coefficients" raw (Secshare_poly.Cyclic.to_int_array poly)
 
+(* --- the block-order generator against its oracle --- *)
+
+(* The plain definition of a node's draws: the continuous ChaCha20
+   keystream of the (pre, "poly") nonce from counter 0, cut into
+   big-endian draws of the fewest bytes covering q and rejection-
+   sampled.  Regenerated twice as long whenever it runs dry. *)
+let reference_coefficients ~seed ~pre ~q ~count =
+  let nonce = Bytes.make Chacha.nonce_length '\000' in
+  Bytes.set_int64_le nonce 0 (Int64.of_int pre);
+  Bytes.blit_string "poly" 0 nonce 8 4;
+  let k = if q <= 256 then 1 else if q <= 65536 then 2 else 3 in
+  let cap = 1 lsl (8 * k) in
+  let accept_below = cap - (cap mod q) in
+  let rec attempt len =
+    let ks = Chacha.keystream ~key:(Seed.to_bytes seed) ~nonce ~counter:0 len in
+    let out = Array.make count 0 in
+    let rec go i pos =
+      if i = count then Some out
+      else if pos + k > len then None
+      else begin
+        let v = ref 0 in
+        for j = 0 to k - 1 do
+          v := (!v lsl 8) lor Bytes.get_uint8 ks (pos + j)
+        done;
+        if !v < accept_below then begin
+          out.(i) <- !v mod q;
+          go (i + 1) (pos + k)
+        end
+        else go i (pos + k)
+      end
+    in
+    match go 0 0 with Some out -> out | None -> attempt (2 * len)
+  in
+  attempt (max 64 (count * k))
+
+let gen_seed =
+  QCheck2.Gen.(map (fun s -> Seed.of_bytes (Bytes.of_string s)) (string_size (return 32)))
+
+let prop_fill_matches_reference =
+  QCheck2.Test.make ~count:300 ~name:"fill = continuous keystream"
+    QCheck2.Gen.(
+      quad gen_seed (int_range 0 (1 lsl 40))
+        (oneofl [ 2; 4; 5; 16; 29; 81; 83; 89; 131; 251; 257; 1021 ])
+        (int_range 0 300))
+    (fun (seed, pre, q, count) ->
+      let out = Array.make count (-1) in
+      Node_prg.fill (Node_prg.create seed) ~pre ~q out;
+      out = reference_coefficients ~seed ~pre ~q ~count)
+
+(* Before block-order reading, a draw that ran past its first buffer
+   (2 bytes per coefficient) re-read keystream it had already used:
+   at q = 131 about one node in three, e.g. pre 3 under "x", whose
+   coefficients 124-127 came out [83; 45; 83; 45]. *)
+let test_no_keystream_reuse_q131 () =
+  let seed = Seed.of_passphrase "x" in
+  for pre = 0 to 99 do
+    check
+      Alcotest.(array int)
+      (Printf.sprintf "pre %d" pre)
+      (reference_coefficients ~seed ~pre ~q:131 ~count:130)
+      (Node_prg.coefficients ~seed ~pre ~q:131 ~count:130)
+  done
+
+(* Default-field shares must not move: the digest of every client
+   coefficient of pres 0-999 at q = 83, pinned before the generator
+   was rewritten. *)
+let test_client_poly_golden () =
+  let ring = Secshare_poly.Ring.of_prime ~p:83 in
+  let buf = Buffer.create 82_000 in
+  for pre = 0 to 999 do
+    Array.iter
+      (fun c -> Buffer.add_char buf (Char.chr c))
+      (Secshare_poly.Cyclic.to_int_array
+         (Node_prg.client_poly ~ring ~seed:Test_support.test_seed ~pre))
+  done;
+  check Alcotest.string "digest" "e4abdb705f949fcba51ed0df916ca15e"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let test_fill_allocates_nothing () =
+  let prg = Node_prg.create seed_a in
+  let out = Array.make 82 0 in
+  Node_prg.fill prg ~pre:0 ~q:83 out;
+  let before = Gc.minor_words () in
+  for pre = 1 to 1000 do
+    Node_prg.fill prg ~pre ~q:83 out
+  done;
+  let after = Gc.minor_words () in
+  check (Alcotest.float 0.) "minor words over 1000 fills" 0. (after -. before)
+
 let () =
   Alcotest.run "prg"
     [
@@ -260,5 +349,9 @@ let () =
           Alcotest.test_case "rough uniformity" `Quick test_node_prg_uniformity;
           Alcotest.test_case "input validation" `Quick test_node_prg_rejects;
           Alcotest.test_case "client_poly consistency" `Quick test_client_poly_matches_coefficients;
+          QCheck_alcotest.to_alcotest prop_fill_matches_reference;
+          Alcotest.test_case "no keystream reuse at q=131" `Quick test_no_keystream_reuse_q131;
+          Alcotest.test_case "client_poly golden digest" `Quick test_client_poly_golden;
+          Alcotest.test_case "fill allocates nothing" `Quick test_fill_allocates_nothing;
         ] );
     ]
