@@ -67,34 +67,3 @@ let lower ?agg ~fused ~mapping ~strictness query =
   | None -> path_ops
   | Some func ->
       path_ops @ [ Plan.Aggregate { func; scale = agg_scale mapping ~func query } ]
-
-let all_names_mapped ~mapping query =
-  List.for_all (fun n -> Mapping.value mapping n <> None) (Ast.name_tests query)
-
-let run_explained filter ~mapping ~strictness query =
-  if query = [] then raise (Query_error "empty query");
-  if not (all_names_mapped ~mapping query) then ([], [])
-  else begin
-    let plan = lower ~fused:true ~mapping ~strictness query in
-    let ops = Operator.build filter plan in
-    let metas = Operator.drain ops in
-    (sort_dedup metas, Operator.stats_list ops)
-  end
-
-let run filter ~mapping ~strictness query =
-  fst (run_explained filter ~mapping ~strictness query)
-
-let run_value filter ~mapping ~strictness ~agg query =
-  if query = [] then raise (Query_error "empty query");
-  if not (all_names_mapped ~mapping query) then (empty_agg_value agg, [])
-  else begin
-    let plan = lower ~agg ~fused:true ~mapping ~strictness query in
-    let ops = Operator.build filter plan in
-    ignore (Operator.drain ops : _ list);
-    match List.rev ops with
-    | sink :: _ -> (
-        match Operator.agg_value sink with
-        | Some value -> (value, Operator.stats_list ops)
-        | None -> raise (Query_error "aggregate sink produced no value"))
-    | [] -> raise (Query_error "empty plan")
-  end

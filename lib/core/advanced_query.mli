@@ -28,33 +28,8 @@ val lower :
     steps apply them as a containment sieve (first point fused into
     the scan when [fused]), descendant steps become the pruned
     look-ahead walk.  With [agg] the plan ends in the terminal
-    [Aggregate] sink.  The engine always lowers with [fused:true];
+    [Aggregate] sink.  Queries always lower with [fused:true];
     the unfused plan is still valid (it stays because
     perfbench/perfbench.ml passes [fused]).
     @raise Query_common.Query_error on an empty query, a name with
     no map entry, or a [sum]/[avg] over a non-aggregatable tag. *)
-
-val run :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  Secshare_xpath.Ast.t ->
-  Secshare_rpc.Protocol.node_meta list
-(** Same contract as {!Simple_query.run}. *)
-
-val run_explained :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  Secshare_xpath.Ast.t ->
-  Secshare_rpc.Protocol.node_meta list * Metrics.op_stats list
-(** Same contract as {!Simple_query.run_explained}. *)
-
-val run_value :
-  Client_filter.t ->
-  mapping:Mapping.t ->
-  strictness:Query_common.strictness ->
-  agg:Secshare_xpath.Ast.agg_func ->
-  Secshare_xpath.Ast.t ->
-  Query_common.value * Metrics.op_stats list
-(** Same contract as {!Simple_query.run_value}. *)

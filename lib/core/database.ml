@@ -249,21 +249,20 @@ let run_query_on filter ~map ?(engine = Advanced) ?(strictness = Query_common.St
   match
     Obs.Trace.with_ambient trace_id (fun () ->
         Obs.Trace.with_span ~kind:Obs.Span.Client "query" (fun () ->
-            match (agg, engine) with
-            | None, Simple ->
-                let nodes, operators =
-                  Simple_query.run_explained filter ~mapping:map ~strictness ast
-                in
-                (Query_common.Nodes nodes, operators)
-            | None, Advanced ->
-                let nodes, operators =
-                  Advanced_query.run_explained filter ~mapping:map ~strictness ast
-                in
-                (Query_common.Nodes nodes, operators)
-            | Some func, Simple ->
-                Simple_query.run_value filter ~mapping:map ~strictness ~agg:func ast
-            | Some func, Advanced ->
-                Advanced_query.run_value filter ~mapping:map ~strictness ~agg:func ast))
+            if List.for_all (fun n -> Mapping.value map n <> None) (Ast.name_tests ast)
+            then
+              Operator.run filter
+                (match engine with
+                | Simple -> Simple_query.lower ?agg ~mapping:map ~strictness ast
+                | Advanced ->
+                    Advanced_query.lower ?agg ~fused:true ~mapping:map ~strictness ast)
+            else
+              (* a name with no map entry matches nothing, as in
+                 plaintext XPath: no server traffic *)
+              ( (match agg with
+                | None -> Query_common.Nodes []
+                | Some func -> Query_common.empty_agg_value func),
+                [] )))
   with
   | value, operators ->
       let seconds = Unix.gettimeofday () -. t0 in

@@ -36,6 +36,10 @@ type encoder = {
   ring : Secshare_poly.Ring.t;
   mapping : Mapping.t;
   seed : Secshare_prg.Seed.t;
+  prg : Secshare_prg.Node_prg.t;  (** the seed, expanded once *)
+  scratch : int array;
+      (** [ring.n] coefficients: a node's client share, then its server
+          share *)
   table : Secshare_store.Node_table.t;
   trie : Secshare_trie.Expand.mode option;
   numbers : Secshare_store.Node_table.t option;
@@ -64,6 +68,8 @@ let create ring ~mapping ~seed ~table ?trie ?numbers
     ring;
     mapping;
     seed;
+    prg = Secshare_prg.Node_prg.create seed;
+    scratch = Array.make ring.Secshare_poly.Ring.n 0;
     table;
     trie;
     numbers;
@@ -160,13 +166,20 @@ let close_element t =
         if frame.has_children then Cyclic.mul_linear t.ring ~root:frame.value frame.product
         else Cyclic.linear t.ring ~root:frame.value
       in
-      let server = Share.server_share t.ring ~seed:t.seed ~pre:frame.pre own in
+      (* server share = own - client share ([Share.server_share]),
+         computed in place over the regenerated client coefficients *)
+      let q = t.ring.Secshare_poly.Ring.order in
+      Secshare_prg.Node_prg.fill t.prg ~pre:frame.pre ~q t.scratch;
+      let coeffs = Cyclic.view own in
+      Array.iteri
+        (fun i client -> t.scratch.(i) <- t.ring.Secshare_poly.Ring.sub coeffs.(i) client)
+        t.scratch;
       let row =
         {
           Secshare_store.Page.pre = frame.pre;
           post = t.post_counter;
           parent = frame.parent;
-          share = Secshare_poly.Codec.pack_cyclic t.ring server;
+          share = Secshare_poly.Codec.pack ~q t.scratch;
         }
       in
       Secshare_store.Node_table.insert t.table row;

@@ -46,8 +46,6 @@ type t = {
           operator leaves it [None] *)
 }
 
-let stats t = t.stats
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
@@ -94,8 +92,6 @@ let make ?(close = fun () -> ()) ?(agg_ref = ref None) stats next_fn =
     op_started = 0.0;
     agg_ref;
   }
-
-let agg_value t = !(t.agg_ref)
 
 (* Pull one batch from upstream, counting it as this operator's input.
    Goes through [next] (not [next_fn]) so the upstream operator's own
@@ -492,13 +488,16 @@ let aggregate name filter ~func ~scale input =
 
 (* --- plan execution -------------------------------------------------- *)
 
+(* [built] holds the operators built so far, most recent first: its
+   head is the next operator's input, and a [Limit] closes all of them
+   when satisfied. *)
 let build filter plan =
-  let build_op prev op =
+  let build_op built op =
     let name = Plan.op_to_string op in
     let input () =
-      match prev with
-      | Some t -> t
-      | None -> invalid_arg ("plan operator needs an input: " ^ name)
+      match built with
+      | t :: _ -> t
+      | [] -> invalid_arg ("plan operator needs an input: " ^ name)
     in
     match op with
     | Plan.Scan { axis = Plan.Root_scan; eval } -> scan_root name filter ~eval
@@ -513,28 +512,10 @@ let build filter plan =
         filter_containment name filter ~points (input ())
     | Plan.Filter_equality { point } -> filter_equality name filter ~point (input ())
     | Plan.Dedup -> dedup name (input ())
-    | Plan.Limit n -> limit name n ~upstream:[] (input ())
+    | Plan.Limit n -> limit name n ~upstream:(List.rev built) (input ())
     | Plan.Aggregate { func; scale } -> aggregate name filter ~func ~scale (input ())
   in
-  let rec go prev built = function
-    | [] -> List.rev built
-    | op :: rest ->
-        let t =
-          match op with
-          | Plan.Limit n ->
-              (* limit wants to close everything upstream when it is
-                 satisfied, so rebuild it with the full prefix *)
-              let input =
-                match prev with
-                | Some t -> t
-                | None -> invalid_arg "plan operator needs an input: limit"
-              in
-              limit (Plan.op_to_string op) n ~upstream:(List.rev built) input
-          | _ -> build_op prev op
-        in
-        go (Some t) (t :: built) rest
-  in
-  go None [] plan
+  List.rev (List.fold_left (fun built op -> build_op built op :: built) [] plan)
 
 let close_all ops = List.iter close (List.rev ops)
 
@@ -558,4 +539,12 @@ let drain ops =
 
 let stats_list ops = List.map (fun t -> Metrics.copy_op_stats t.stats) ops
 
-let run filter plan = drain (build filter plan)
+let run filter plan =
+  let ops = build filter plan in
+  let metas = drain ops in
+  let value =
+    match List.rev ops with
+    | { agg_ref = { contents = Some value }; _ } :: _ -> value
+    | _ -> Query_common.Nodes (Query_common.sort_dedup metas)
+  in
+  (value, stats_list ops)

@@ -3,7 +3,7 @@
     Volcano-style streaming, batch-at-a-time: {!build} turns a plan
     into a chain of operators, {!next} pulls one bounded batch of node
     metadata from an operator (pulling upstream on demand), and
-    {!drain} runs the chain to exhaustion with guaranteed teardown —
+    {!run} drives the chain to exhaustion with guaranteed teardown —
     server cursors opened by scans are closed eagerly when an operator
     stops early (a satisfied [Limit], an exception mid-query) instead
     of lingering until TTL eviction.
@@ -32,18 +32,10 @@ val next : t -> batch option
 val close : t -> unit
 (** Release the operator's server-side resources (idempotent). *)
 
-val stats : t -> Metrics.op_stats
-
-val agg_value : t -> Query_common.value option
-(** The result deposited by an [Aggregate] sink once it has been
-    drained; [None] on every other operator (and before draining). *)
-
-val drain : t list -> Secshare_rpc.Protocol.node_meta list
-(** Pull every batch from the sink, then close every operator (also on
-    exception).  Row order is arrival order — callers sort. *)
-
-val stats_list : t list -> Metrics.op_stats list
-(** A snapshot of every operator's counters, in plan order. *)
-
-val run : Client_filter.t -> Plan.t -> Secshare_rpc.Protocol.node_meta list
-(** [build] + [drain]. *)
+val run :
+  Client_filter.t -> Plan.t -> Query_common.value * Metrics.op_stats list
+(** The one plan executor: {!build}, pull every batch from the sink,
+    then close every operator (also on exception).  The value is the
+    [Aggregate] sink's result, or else the matched set in document
+    order without duplicates; the counters are every operator's, in
+    plan order. *)

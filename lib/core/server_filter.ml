@@ -52,7 +52,6 @@ type scan_state = {
    plaintext — counts, sizes and times only. *)
 type cursor = {
   scan : scan_state;
-  mutable last_used : float;
   created : float;
   trace_id : int64;  (** the opener's ambient trace; 0 = untraced *)
   mutable next_calls : int;  (** [Scan_next] requests served *)
@@ -65,22 +64,17 @@ type cursor_stats = {
   open_cursors : int;
   evicted_cursors : int;  (** removed by TTL, cap pressure, or connection close *)
   expired_cursors : int;  (** the TTL subset of [evicted_cursors] *)
+  scoped_cursors : int;  (** open cursors owned by a live connection *)
 }
 
 type t = {
   ring : Secshare_poly.Ring.t;
   tab : Secshare_field.Table.t;  (** the ring's flat op-tables *)
   table : Node_table.t;
-  cursors : (int, cursor) Hashtbl.t;
-  mutable next_cursor : int;
-  cursor_ttl : float option;
-  max_cursors : int;
+  cursors : cursor Cursor_table.t;
   slow_query_ms : float option;
-  mutable evicted_total : int;
-  mutable expired_total : int;
   now : unit -> float;
-  lock : Mutex.t;  (** guards the cursor table and its accounting only *)
-  pool : Pool.t;  (** share evaluation fans out here, outside [lock] *)
+  pool : Pool.t;  (** share evaluation fans out here, outside the cursor lock *)
   manifest : Protocol.manifest_info option;
       (** this server's place in a sharded deployment; [None] answers
           the handshake with the trivial 1-of-1 manifest *)
@@ -89,21 +83,58 @@ type t = {
           rejects [Agg_eval] *)
 }
 
+(* One structured line per query whose lifetime crossed the threshold.
+   Everything in it is safe under the information-flow argument
+   (DESIGN.md §9): trace id, opcode names, counts, sizes, duration —
+   never evaluation points, pre/post numbers, or share values. *)
+let maybe_log_slow ~slow_query_ms ~trace_id ~cursor ~next_calls ~batches ~rows ~resp_bytes
+    ~duration ~reason =
+  match slow_query_ms with
+  | None -> ()
+  | Some threshold_ms ->
+      let ms = duration *. 1000.0 in
+      if ms >= threshold_ms then begin
+        Obs.Registry.inc obs_slow_queries;
+        let ops =
+          if next_calls = 0 then "scan_eval:1"
+          else Printf.sprintf "scan_eval:1,scan_next:%d" next_calls
+        in
+        Obs.Events.info
+          "slow-query trace=%016Lx cursor=%s ops=%s batches=%d rows=%d bytes=%d \
+           duration_ms=%.1f reason=%s"
+          trace_id
+          (match cursor with Some id -> string_of_int id | None -> "-")
+          ops batches rows resp_bytes ms reason
+      end
+
+(* Every cursor's lifetime ends here, once, whatever removed it: the
+   open-cursor gauge, the per-reason eviction counters and the
+   slow-query check can never drift apart. *)
+let on_remove ~slow_query_ms ~now id c (reason : Cursor_table.reason) =
+  Obs.Registry.gauge_add obs_open_cursors (-1);
+  (match reason with
+  | Ttl | Cap | Connection_close ->
+      Obs.Registry.inc
+        (Obs.Registry.counter
+           ~labels:[ ("reason", Cursor_table.reason_label reason) ]
+           "ssdb_server_cursor_evictions_total")
+  | Drained | Client_close -> ());
+  maybe_log_slow ~slow_query_ms ~trace_id:c.trace_id ~cursor:(Some id)
+    ~next_calls:c.next_calls ~batches:c.batches ~rows:c.rows ~resp_bytes:c.resp_bytes
+    ~duration:(now () -. c.created)
+    ~reason:(Cursor_table.reason_label reason)
+
 let create ?cursor_ttl ?(max_cursors = 1024) ?slow_query_ms ?(now = Unix.gettimeofday)
     ?(workers = 1) ?manifest ?numbers ring table =
   {
     ring;
     tab = Share.kernel_table ring;
     table;
-    cursors = Hashtbl.create 16;
-    next_cursor = 1;
-    cursor_ttl;
-    max_cursors = max 1 max_cursors;
+    cursors =
+      Cursor_table.create ?ttl:cursor_ttl ~now ~max_cursors
+        ~on_remove:(on_remove ~slow_query_ms ~now) ();
     slow_query_ms;
-    evicted_total = 0;
-    expired_total = 0;
     now;
-    lock = Mutex.create ();
     pool = Pool.create ~workers ();
     manifest;
     numbers;
@@ -126,128 +157,22 @@ let eval_share t ~mul_row (row : Page.row) =
   Secshare_poly.Flat.eval_share t.tab ~mul_row ~n:t.ring.Secshare_poly.Ring.n
     row.Page.share
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Obs.Race_check.acquired "cursor-table";
-  Obs.Race_check.access ~write:true "server_filter.cursors";
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Race_check.released "cursor-table";
-      Mutex.unlock t.lock)
-    f
-
-type removal_reason = Drained | Client_close | Ttl | Cap | Connection_close
-
-let reason_label = function
-  | Drained -> "drained"
-  | Client_close -> "client_close"
-  | Ttl -> "ttl"
-  | Cap -> "cap"
-  | Connection_close -> "connection_close"
-
-(* One structured line per query whose lifetime crossed the threshold.
-   Everything in it is safe under the information-flow argument
-   (DESIGN.md §9): trace id, opcode names, counts, sizes, duration —
-   never evaluation points, pre/post numbers, or share values. *)
-let maybe_log_slow t ~trace_id ~cursor ~next_calls ~batches ~rows ~resp_bytes ~duration
-    ~reason =
-  match t.slow_query_ms with
-  | None -> ()
-  | Some threshold_ms ->
-      let ms = duration *. 1000.0 in
-      if ms >= threshold_ms then begin
-        Obs.Registry.inc obs_slow_queries;
-        let ops =
-          if next_calls = 0 then "scan_eval:1"
-          else Printf.sprintf "scan_eval:1,scan_next:%d" next_calls
-        in
-        Obs.Events.info
-          "slow-query trace=%016Lx cursor=%s ops=%s batches=%d rows=%d bytes=%d \
-           duration_ms=%.1f reason=%s"
-          trace_id
-          (match cursor with Some id -> string_of_int id | None -> "-")
-          ops batches rows resp_bytes ms reason
-      end
-
-(* The single removal path: every cursor leaves the table through
-   here, so the open-cursor gauge, the per-reason eviction counters
-   and the slow-query check can never drift apart. *)
-let finish_cursor_locked t id c ~reason =
-  Hashtbl.remove t.cursors id;
-  Obs.Registry.gauge_add obs_open_cursors (-1);
-  (match reason with
-  | Ttl | Cap | Connection_close ->
-      Obs.Registry.inc
-        (Obs.Registry.counter
-           ~labels:[ ("reason", reason_label reason) ]
-           "ssdb_server_cursor_evictions_total")
-  | Drained | Client_close -> ());
-  maybe_log_slow t ~trace_id:c.trace_id ~cursor:(Some id) ~next_calls:c.next_calls
-    ~batches:c.batches ~rows:c.rows ~resp_bytes:c.resp_bytes
-    ~duration:(t.now () -. c.created)
-    ~reason:(reason_label reason)
-
-(* Drop cursors idle past the TTL.  Called with the lock held, on
-   every cursor operation, so a server under any load at all converges
-   to zero leaked cursors without a dedicated sweeper thread. *)
-let sweep_locked t =
-  match t.cursor_ttl with
-  | None -> 0
-  | Some ttl ->
-      let now = t.now () in
-      let stale =
-        Hashtbl.fold
-          (fun id c acc -> if now -. c.last_used > ttl then (id, c) :: acc else acc)
-          t.cursors []
-      in
-      List.iter (fun (id, c) -> finish_cursor_locked t id c ~reason:Ttl) stale;
-      let n = List.length stale in
-      t.expired_total <- t.expired_total + n;
-      t.evicted_total <- t.evicted_total + n;
-      n
-
-(* Called with the lock held: make room for one more cursor by
-   evicting the least-recently-used one once the cap is reached, so an
-   abandoned drain can never pin server memory. *)
-let enforce_cap_locked t =
-  while Hashtbl.length t.cursors >= t.max_cursors do
-    let oldest =
-      Hashtbl.fold
-        (fun id c acc ->
-          match acc with
-          | Some (_, best) when best.last_used <= c.last_used -> acc
-          | _ -> Some (id, c))
-        t.cursors None
-    in
-    match oldest with
-    | None -> ()
-    | Some (id, c) ->
-        finish_cursor_locked t id c ~reason:Cap;
-        t.evicted_total <- t.evicted_total + 1
-  done
-
-(* Register a cursor under a fresh id, seeded with the accounting of
-   whatever the opening request already returned.  Called with the
-   lock held, on the thread that carries the opener's ambient trace. *)
-let register_cursor_locked t scan ~created ~batches ~rows ~resp_bytes =
-  ignore (sweep_locked t);
-  enforce_cap_locked t;
-  let id = t.next_cursor in
-  t.next_cursor <- t.next_cursor + 1;
-  Hashtbl.replace t.cursors id
+(* Register a cursor for a scan whose opening request already
+   returned one batch.  Called on the thread that carries the opener's
+   ambient trace. *)
+let register_cursor t ~scope scan ~created ~rows ~resp_bytes =
+  Obs.Registry.gauge_add obs_open_cursors 1;
+  Obs.Registry.inc obs_cursors_opened;
+  Cursor_table.add ?scope t.cursors
     {
       scan;
-      last_used = t.now ();
       created;
       trace_id = Obs.Trace.current_id ();
       next_calls = 0;
-      batches;
+      batches = 1;
       rows;
       resp_bytes;
-    };
-  Obs.Registry.gauge_add obs_open_cursors 1;
-  Obs.Registry.inc obs_cursors_opened;
-  id
+    }
 
 (* Approximate response payload: 12 bytes of metadata per row plus 4
    per evaluated value — what the slow-query log reports as [bytes].
@@ -335,7 +260,7 @@ let scan_collect t (scan : scan_state) ~max_items =
   in
   (List.rev !taken, done_)
 
-let handle t (request : Protocol.request) : Protocol.response =
+let handle t ~scope (request : Protocol.request) : Protocol.response =
   match request with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Root -> Protocol.Node_opt (Option.map meta_of_row (Node_table.root t.table))
@@ -388,7 +313,7 @@ let handle t (request : Protocol.request) : Protocol.response =
       if done_ then begin
         (* a one-shot scan never registers a cursor, so its
            slow-query check happens inline *)
-        maybe_log_slow t
+        maybe_log_slow ~slow_query_ms:t.slow_query_ms
           ~trace_id:(Obs.Trace.current_id ())
           ~cursor:None ~next_calls:0 ~batches:1 ~rows:(List.length rows) ~resp_bytes:bytes
           ~duration:(t.now () -. started)
@@ -396,52 +321,42 @@ let handle t (request : Protocol.request) : Protocol.response =
         Protocol.Scan_batch { rows; cursor = None }
       end
       else
-        with_lock t (fun () ->
-            let id =
-              register_cursor_locked t scan ~created:started ~batches:1
-                ~rows:(List.length rows) ~resp_bytes:bytes
-            in
-            Protocol.Scan_batch { rows; cursor = Some id })
+        let id =
+          register_cursor t ~scope scan ~created:started ~rows:(List.length rows)
+            ~resp_bytes:bytes
+        in
+        Protocol.Scan_batch { rows; cursor = Some id }
   | Protocol.Scan_next { cursor; max_items } -> (
       (* Phase 1 (locked): advance the scan position and collect raw
          rows.  Cursor affinity — a cursor is only ever drained by the
          connection that opened it — means no two drains race on one
          scan state; the lock protects the cursor table itself. *)
       let step =
-        with_lock t (fun () ->
-            ignore (sweep_locked t);
-            match Hashtbl.find_opt t.cursors cursor with
-            | None -> Error (Printf.sprintf "unknown cursor %d" cursor)
-            | Some c ->
-                c.last_used <- t.now ();
-                Ok (c.scan, scan_collect t c.scan ~max_items:(max 1 max_items)))
+        Cursor_table.use t.cursors cursor (fun c ->
+            (c.scan, scan_collect t c.scan ~max_items:(max 1 max_items)))
       in
       match step with
-      | Error msg -> Protocol.Error_msg msg
-      | Ok (scan, (rows_raw, done_)) ->
+      | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor)
+      | Some (scan, (rows_raw, done_)) ->
           (* Phase 2 (unlocked): pool-parallel share evaluation. *)
           let rows = eval_rows t scan rows_raw in
           (* Phase 3 (locked): accounting, and the single removal path
              when the scan drained.  The cursor may have been evicted
              (TTL/cap/connection close) while we evaluated; eviction
              already closed its accounting lifetime, so skip it here. *)
-          with_lock t (fun () ->
-              match Hashtbl.find_opt t.cursors cursor with
-              | Some c ->
-                  c.next_calls <- c.next_calls + 1;
-                  c.batches <- c.batches + 1;
-                  c.rows <- c.rows + List.length rows;
-                  c.resp_bytes <- c.resp_bytes + batch_bytes rows;
-                  if done_ then finish_cursor_locked t cursor c ~reason:Drained
-              | None -> ());
+          ignore
+            (Cursor_table.use t.cursors cursor (fun c ->
+                 c.next_calls <- c.next_calls + 1;
+                 c.batches <- c.batches + 1;
+                 c.rows <- c.rows + List.length rows;
+                 c.resp_bytes <- c.resp_bytes + batch_bytes rows)
+              : unit option);
+          if done_ then Cursor_table.remove t.cursors cursor Drained;
           Protocol.Scan_batch
             { rows; cursor = (if done_ then None else Some cursor) })
   | Protocol.Cursor_close cursor ->
-      with_lock t (fun () ->
-          (match Hashtbl.find_opt t.cursors cursor with
-          | Some c -> finish_cursor_locked t cursor c ~reason:Client_close
-          | None -> ());
-          Protocol.Pong)
+      Cursor_table.remove t.cursors cursor Client_close;
+      Protocol.Pong
   | Protocol.Eval_batch { pres; point } -> (
       (* row lookups stay on the handler thread (cheap, latch-striped);
          the evaluations fan out across the pool *)
@@ -513,45 +428,30 @@ let handle t (request : Protocol.request) : Protocol.response =
           in
           fold 0 0 pres)
 
-let handler t request =
-  match handle t request with
+let respond t ~scope request =
+  match handle t ~scope request with
   | response -> response
   | exception exn -> Protocol.Error_msg (Printexc.to_string exn)
 
-(* A per-connection view: remembers which cursors this connection
-   opened so they can be evicted the moment it goes away, instead of
+let handler t request = respond t ~scope:None request
+
+(* A per-connection view: the cursors this connection opens belong to
+   its scope, so they are evicted the moment it goes away instead of
    lingering until the TTL sweep. *)
 let connection t =
-  let owned = ref [] in
-  let on_request request =
-    let response = handler t request in
-    (match (request, response) with
-    | Protocol.Scan_eval _, Protocol.Scan_batch { cursor = Some id; _ } ->
-        if not (List.mem id !owned) then owned := id :: !owned
-    | _ -> ());
-    response
-  in
-  let on_close () =
-    with_lock t (fun () ->
-        List.iter
-          (fun id ->
-            match Hashtbl.find_opt t.cursors id with
-            | Some c ->
-                finish_cursor_locked t id c ~reason:Connection_close;
-                t.evicted_total <- t.evicted_total + 1
-            | None -> ())
-          !owned;
-        owned := [])
-  in
-  (on_request, on_close)
+  let scope = Cursor_table.scope t.cursors in
+  ( respond t ~scope:(Some scope),
+    fun () -> Cursor_table.close_scope t.cursors scope )
 
-let sweep_cursors t = with_lock t (fun () -> sweep_locked t)
-let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)
+let sweep_cursors t = Cursor_table.sweep t.cursors
+let open_cursors t = Cursor_table.length t.cursors
 
 let cursor_stats t =
-  with_lock t (fun () ->
-      {
-        open_cursors = Hashtbl.length t.cursors;
-        evicted_cursors = t.evicted_total;
-        expired_cursors = t.expired_total;
-      })
+  let removed = Cursor_table.removed t.cursors in
+  let expired = removed Ttl in
+  {
+    open_cursors = Cursor_table.length t.cursors;
+    evicted_cursors = expired + removed Cap + removed Connection_close;
+    expired_cursors = expired;
+    scoped_cursors = Cursor_table.scoped t.cursors;
+  }

@@ -9,11 +9,11 @@
     Cursors implement the [nextNode()] pipeline: a [Scan_eval] whose
     first batch does not exhaust its target opens a server-side scan
     cursor; the client drains it with [Scan_next] in small batches so
-    it holds only one batch at a time.  Abandoned
-    cursors cannot accumulate: each cursor carries a last-used
-    timestamp and is evicted once idle past [cursor_ttl] (swept on
-    every cursor operation or via {!sweep_cursors}); the total is
-    capped at [max_cursors] with least-recently-used eviction; and a
+    it holds only one batch at a time.  Open cursors live in a
+    {!Cursor_table}, so abandoned ones cannot accumulate: a cursor is
+    evicted once idle past [cursor_ttl] (swept on every cursor
+    operation or via {!sweep_cursors}); the total is capped at
+    [max_cursors] with least-recently-used eviction; and a
     {!connection}-scoped handler evicts a connection's cursors the
     moment it closes. *)
 
@@ -85,6 +85,7 @@ type cursor_stats = {
   open_cursors : int;
   evicted_cursors : int;  (** removed by TTL, cap pressure, or connection close *)
   expired_cursors : int;  (** the TTL subset of [evicted_cursors] *)
+  scoped_cursors : int;  (** open cursors owned by a live {!connection} *)
 }
 
 val cursor_stats : t -> cursor_stats

@@ -75,7 +75,7 @@ let iter_expressions structure f =
   it.structure it structure
 
 (* The value-binding names enclosing each point of the tree matter to
-   several passes ("is this inside [finish_cursor_locked]?").  This
+   several passes ("is this inside [remove_locked]?").  This
    traversal threads that context: [f ~bindings expr] sees the stack
    of enclosing let-bound names, innermost first. *)
 let iter_expressions_with_bindings structure f =

@@ -58,6 +58,7 @@ let strict_container_files =
     "page.ml";
     "node_table.ml";
     "btree.ml";
+    "cursor_table.ml";
     "server_filter.ml";
     "server.ml";
     "evloop.ml";
@@ -85,15 +86,19 @@ let table : ((string * string) * guard) list =
     (("lib/rpc/evloop.ml", "index"), Domain_confined "evloop");
     (("lib/rpc/evloop.ml", "ready_fds"), Domain_confined "evloop");
     (("lib/rpc/evloop.ml", "ready_evs"), Domain_confined "evloop");
-    (* --- lib/core/server_filter.ml: the server cursor table --------
+    (* --- lib/core/cursor_table.ml: the one cursor registry ---------
        The lock guards the table and its accounting only; a cursor's
-       scan state has single-owner affinity (one in-flight request per
-       cursor, enforced by the protocol and the runtime witness). *)
-    (("lib/core/server_filter.ml", "cursors"), Guarded_by "cursor-table");
-    (("lib/core/server_filter.ml", "next_cursor"), Guarded_by "cursor-table");
-    (("lib/core/server_filter.ml", "evicted_total"), Guarded_by "cursor-table");
-    (("lib/core/server_filter.ml", "expired_total"), Guarded_by "cursor-table");
-    (("lib/core/server_filter.ml", "last_used"), Guarded_by "cursor-table");
+       payload (the server's scan, the router's merge) has single-owner
+       affinity (one in-flight request per cursor, enforced by the
+       protocol and the runtime witness). *)
+    (("lib/core/cursor_table.ml", "cursors"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "next_id"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "ticks"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "next_scope"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "removed"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "last_used"), Guarded_by "cursor-table");
+    (("lib/core/cursor_table.ml", "touched"), Guarded_by "cursor-table");
+    (* --- lib/core/server_filter.ml: the server cursor payload ------ *)
     (("lib/core/server_filter.ml", "pending_parents"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "buffered_rows"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "current_range"), Domain_confined "caller");
@@ -102,11 +107,7 @@ let table : ((string * string) * guard) list =
     (("lib/core/server_filter.ml", "batches"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "rows"), Domain_confined "caller");
     (("lib/core/server_filter.ml", "resp_bytes"), Domain_confined "caller");
-    (* --- lib/shard/router.ml: same cursor-table discipline --------- *)
-    (("lib/shard/router.ml", "cursors"), Guarded_by "router-cursors");
-    (("lib/shard/router.ml", "next_cursor"), Guarded_by "router-cursors");
-    (("lib/shard/router.ml", "ticks"), Guarded_by "router-cursors");
-    (("lib/shard/router.ml", "last_used"), Guarded_by "router-cursors");
+    (* --- lib/shard/router.ml: the router cursor payload ------------ *)
     (("lib/shard/router.ml", "members"), Domain_confined "caller");
     (("lib/shard/router.ml", "remote"), Domain_confined "caller");
     (("lib/shard/router.ml", "alive"), Domain_confined "caller");

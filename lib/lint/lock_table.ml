@@ -23,9 +23,8 @@ let fixture_base base =
 let classify ~file ~lock_name =
   match (Ast_util.basename file, lock_name) with
   | "node_table.ml", "write_lock" -> Some { class_name = "table-writer"; rank = 10 }
-  | "server_filter.ml", ("t" | "lock") -> Some { class_name = "cursor-table"; rank = 12 }
+  | "cursor_table.ml", ("t" | "lock") -> Some { class_name = "cursor-table"; rank = 12 }
   | "server.ml", ("t" | "lock") -> Some { class_name = "rpc-server-stats"; rank = 13 }
-  | "router.ml", ("t" | "lock") -> Some { class_name = "router-cursors"; rank = 14 }
   | "pool.ml", "lock" -> Some { class_name = "pool-queue"; rank = 15 }
   | "metrics_http.ml", "lock" -> Some { class_name = "metrics-http"; rank = 17 }
   | "pager.ml", "meta" -> Some { class_name = "pager-meta"; rank = 20 }
@@ -52,7 +51,6 @@ let class_names =
     "table-writer";
     "cursor-table";
     "rpc-server-stats";
-    "router-cursors";
     "pool-queue";
     "metrics-http";
     "pager-meta";

@@ -38,6 +38,7 @@ let random_allowed path =
    there is a plain counter under [with_lock]. *)
 let concurrent_files =
   [
+    "lib/core/cursor_table.ml";
     "lib/core/server_filter.ml";
     "lib/core/pool.ml";
     "lib/store/pager.ml";

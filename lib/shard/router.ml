@@ -20,6 +20,7 @@ module Transport = Secshare_rpc.Transport
 module Ring = Secshare_poly.Ring
 module Share = Secshare_core.Share
 module Numeric = Secshare_core.Numeric
+module Cursor_table = Secshare_core.Cursor_table
 module Obs = Secshare_obs
 
 exception Unavailable of string
@@ -55,24 +56,14 @@ type scan_state = {
   mutable active : active option;
 }
 
-type cursor = { scan : scan_state; mutable last_used : int }
-
 type t = {
   ring : Ring.t;
   manifest : Manifest.t;  (* group summary, shard_id = 0 *)
   members_by_id : shard array;  (* shard id i at index i - 1 *)
-  cursors : (int, cursor) Hashtbl.t;
-  mutable next_cursor : int;
-  mutable ticks : int;
-  max_cursors : int;
-  lock : Mutex.t;  (* guards the cursor table and its accounting only *)
+  cursors : scan_state Cursor_table.t;
   failovers : Obs.Registry.counter;
   live_gauge : Obs.Registry.gauge;
 }
-
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let manifest t = t.manifest
 let shards t = t.manifest.Manifest.shards
@@ -250,7 +241,7 @@ let fresh_active t (partition, target) =
     skip = 0;
   }
 
-let close_active_members _t active =
+let close_active_members active =
   List.iter
     (fun m ->
       (match m.remote with
@@ -263,7 +254,7 @@ let close_active_members _t active =
     active.members
 
 let failover_active t active =
-  close_active_members t active;
+  close_active_members active;
   let group = group_for t ~partition:active.partition in
   active.members <- List.map (fun s -> { shard = s; remote = None }) group;
   active.lambdas <- lambdas_of t group;
@@ -363,62 +354,18 @@ let rec fill t scan ~want acc =
               fill t scan ~want acc
         end
 
-(* --- cursor table (mutex-guarded; network calls stay outside) --- *)
-
-let close_cursor_remotes t { scan; _ } =
+(* A scan leaving the cursor table releases its shard member cursors.
+   The table calls this after its lock is released, so no network call
+   ever runs under it. *)
+let close_scan_remotes scan =
   scan.pending <- [];
   match scan.active with
   | Some active ->
-      close_active_members t active;
+      close_active_members active;
       scan.active <- None
   | None -> ()
 
-let register_cursor t scan =
-  let victim =
-    with_lock t (fun () ->
-        if Hashtbl.length t.cursors >= t.max_cursors then begin
-          let victim_id = ref (-1) and victim_ts = ref max_int in
-          Hashtbl.iter
-            (fun id c ->
-              if c.last_used < !victim_ts then begin
-                victim_id := id;
-                victim_ts := c.last_used
-              end)
-            t.cursors;
-          match Hashtbl.find_opt t.cursors !victim_id with
-          | Some c ->
-              Hashtbl.remove t.cursors !victim_id;
-              Some c
-          | None -> None
-        end
-        else None)
-  in
-  Option.iter (close_cursor_remotes t) victim;
-  with_lock t (fun () ->
-      let id = t.next_cursor in
-      t.next_cursor <- id + 1;
-      t.ticks <- t.ticks + 1;
-      Hashtbl.replace t.cursors id { scan; last_used = t.ticks };
-      id)
-
-let find_cursor t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.cursors id with
-      | Some c ->
-          t.ticks <- t.ticks + 1;
-          c.last_used <- t.ticks;
-          Some c.scan
-      | None -> None)
-
-let take_cursor t id =
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.cursors id with
-      | Some c ->
-          Hashtbl.remove t.cursors id;
-          Some c
-      | None -> None)
-
-let open_cursors t = with_lock t (fun () -> Hashtbl.length t.cursors)
+let open_cursors t = Cursor_table.length t.cursors
 
 (* --- grouped point operations --- *)
 
@@ -527,7 +474,7 @@ let agg_eval t pres =
 
 let forward_one t ~partition request = on_one t ~partition (fun s -> call_shard t s request)
 
-let dispatch t request =
+let dispatch t ~scope request =
   match request with
   | Protocol.Ping -> Protocol.Pong
   | Protocol.Manifest -> Protocol.Manifest_data (Manifest.to_info t.manifest)
@@ -538,58 +485,39 @@ let dispatch t request =
   | Protocol.Shares pres -> shares_batch t pres
   | Protocol.Agg_eval { pres } -> agg_eval t pres
   | Protocol.Cursor_close cursor ->
-      Option.iter (close_cursor_remotes t) (take_cursor t cursor);
+      Cursor_table.remove t.cursors cursor Client_close;
       Protocol.Pong
   | Protocol.Scan_eval { target; points; max_items } ->
       let scan = { points; pending = sub_targets t target; active = None } in
       let rows = fill t scan ~want:(max 1 max_items) [] in
       if scan_more scan then
-        Protocol.Scan_batch { rows; cursor = Some (register_cursor t scan) }
+        let id = Cursor_table.add ?scope t.cursors scan in
+        Protocol.Scan_batch { rows; cursor = Some id }
       else Protocol.Scan_batch { rows; cursor = None }
   | Protocol.Scan_next { cursor; max_items } -> (
-      match find_cursor t cursor with
+      match Cursor_table.use t.cursors cursor Fun.id with
       | Some scan ->
           let rows = fill t scan ~want:(max 1 max_items) [] in
           if scan_more scan then Protocol.Scan_batch { rows; cursor = Some cursor }
           else begin
-            Option.iter (close_cursor_remotes t) (take_cursor t cursor);
+            Cursor_table.remove t.cursors cursor Drained;
             Protocol.Scan_batch { rows; cursor = None }
           end
       | None -> Protocol.Error_msg (Printf.sprintf "unknown cursor %d" cursor))
 
-let handler t request =
-  match dispatch t request with
+let respond t ~scope request =
+  match dispatch t ~scope request with
   | response -> response
   | exception App_error msg -> Protocol.Error_msg msg
   | exception Unavailable msg -> Protocol.Error_msg ("unavailable: " ^ msg)
   | exception Diverged msg -> Protocol.Error_msg ("router: " ^ msg)
 
+let handler t request = respond t ~scope:None request
+
+(* session scope: cursors this connection opened close with it *)
 let connection t =
-  (* session scope: cursors this connection opened, closed with it.
-     Sessions are single-threaded (the event loop serialises handler
-     calls), so a plain ref suffices. *)
-  let open_ids = ref [] in
-  let add id = if not (List.mem id !open_ids) then open_ids := id :: !open_ids in
-  let remove id = open_ids := List.filter (fun i -> i <> id) !open_ids in
-  let on_request request =
-    let response = handler t request in
-    (match response with
-    | Protocol.Scan_batch { cursor = Some id; _ } -> add id
-    | Protocol.Scan_batch { cursor = None; _ } -> (
-        match request with
-        | Protocol.Scan_next { cursor; _ } -> remove cursor
-        | _ -> ())
-    | _ -> ());
-    (match request with Protocol.Cursor_close id -> remove id | _ -> ());
-    response
-  in
-  let on_close () =
-    List.iter
-      (fun id -> Option.iter (close_cursor_remotes t) (take_cursor t id))
-      !open_ids;
-    open_ids := []
-  in
-  (on_request, on_close)
+  let scope = Cursor_table.scope t.cursors in
+  (respond t ~scope:(Some scope), fun () -> Cursor_table.close_scope t.cursors scope)
 
 (* --- construction --- *)
 
@@ -658,11 +586,10 @@ let of_transports (ring : Ring.t) ?(max_cursors = 1024) transports =
                     ring;
                     manifest = summary;
                     members_by_id;
-                    cursors = Hashtbl.create 16;
-                    next_cursor = 1;
-                    ticks = 0;
-                    max_cursors = max 1 max_cursors;
-                    lock = Mutex.create ();
+                    cursors =
+                      Cursor_table.create ~max_cursors
+                        ~on_remove:(fun _ scan _ -> close_scan_remotes scan)
+                        ();
                     failovers = obs_failovers;
                     live_gauge = obs_live_gauge;
                   }
@@ -693,10 +620,5 @@ let connect ?policy ~p ~e ?max_cursors paths =
               e))
 
 let close t =
-  let all = with_lock t (fun () ->
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.cursors [] in
-      Hashtbl.reset t.cursors;
-      cs)
-  in
-  List.iter (close_cursor_remotes t) all;
+  Cursor_table.close_all t.cursors;
   Array.iter (fun s -> Transport.close s.transport) t.members_by_id

@@ -1,4 +1,4 @@
-(* lint: pretend-path lib/core/server_filter.ml *)
+(* lint: pretend-path lib/core/cursor_table.ml *)
 (* Negative fixture: the three accepted guard forms. *)
 
 let register_with_lock t id state =

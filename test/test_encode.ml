@@ -168,10 +168,9 @@ let test_fig1_share_hiding () =
 
 (* --- general encoding properties --- *)
 
-let encode_tree_with ?trie tree =
-  let ring = Ring.of_prime ~p:83 in
+let encode_tree_with ?(ring = Ring.of_prime ~p:83) ?trie tree =
   let mapping =
-    match Mapping.of_tree ~q:83 tree with
+    match Mapping.of_tree ~q:ring.Ring.order tree with
     | Ok m -> ( match trie with None -> m | Some _ -> Result.get_ok (Mapping.with_trie_alphabet m))
     | Error e -> failwith e
   in
@@ -182,8 +181,8 @@ let encode_tree_with ?trie tree =
 
 (* Reconstructed node polynomial = monic product of the subtree's
    mapped values, for every node of random documents. *)
-let encode_matches_spec tree =
-  let ring, mapping, table, _ = encode_tree_with tree in
+let encode_matches_spec ?ring tree =
+  let ring, mapping, table, _ = encode_tree_with ?ring tree in
   let ok = ref true in
   let pre_counter = ref 0 in
   let rec walk node =
@@ -210,6 +209,9 @@ let encode_property_suite =
   [
     qtest ~count:60 "reconstructed polynomials match the spec" Test_support.gen_tree
       encode_matches_spec;
+    qtest ~count:30 "reconstructed polynomials match the spec over F_81"
+      Test_support.gen_tree
+      (encode_matches_spec ~ring:(Ring.of_prime_power ~p:3 ~e:4));
     qtest ~count:60 "row count = element count (no trie)" Test_support.gen_tree (fun tree ->
         let _, _, table, stats = encode_tree_with tree in
         Node_table.row_count table = Tree.element_count tree

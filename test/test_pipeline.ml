@@ -76,6 +76,12 @@ let test_golden_results () =
 
 (* --- fused and unfused plans agree; fusion saves round trips --- *)
 
+(* The matched set a node-valued plan evaluates to, in document order. *)
+let run_nodes filter plan =
+  match Operator.run filter plan with
+  | QC.Nodes nodes, _ -> nodes
+  | _ -> Alcotest.fail "expected a node set"
+
 (* Run an advanced-engine plan lowered with or without fusion on the
    shared executor: the sorted result and the round trips it took. *)
 let run_advanced_plan db ~fused ~strictness q =
@@ -85,7 +91,7 @@ let run_advanced_plan db ~fused ~strictness q =
       (parse q)
   in
   let calls0 = (Client_filter.rpc_counters filter).Transport.calls in
-  let nodes = QC.sort_dedup (Operator.run filter plan) in
+  let nodes = run_nodes filter plan in
   (pres nodes, (Client_filter.rpc_counters filter).Transport.calls - calls0)
 
 let test_fused_unfused_agree () =
@@ -237,7 +243,7 @@ let descendants_plan =
 
 let test_limit_closes_cursors () =
   let server, filter = small_batch_parts () in
-  let nodes = Operator.run filter (descendants_plan @ [ Plan.Limit 3 ]) in
+  let nodes = run_nodes filter (descendants_plan @ [ Plan.Limit 3 ]) in
   check Alcotest.int "limit result size" 3 (List.length nodes);
   check Alcotest.int "no cursor survives a satisfied limit" 0
     (Server_filter.open_cursors server)
@@ -294,7 +300,7 @@ let test_pruned_scan_level_order () =
       in
       check Alcotest.(list int) (q ^ " result")
         (query_pres db ~engine:DB.Advanced ~strictness:QC.Non_strict q)
-        (pres (QC.sort_dedup (Operator.run filter plan))))
+        (pres (run_nodes filter plan)))
     [ "//bidder/date"; "/site//europe//item"; "/site/*/person//city"; "//person/name" ];
   check Alcotest.int "Eval_batch requests with non-ascending pres" 0
     (List.length !unordered);

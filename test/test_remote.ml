@@ -217,6 +217,42 @@ let test_cursor_cap_evicts_lru () =
   let stats = Server_filter.cursor_stats filter in
   check Alcotest.int "one cap eviction" 1 stats.Server_filter.evicted_cursors
 
+let test_connection_scope_forgets_finished_cursors () =
+  (* one long-lived session opens many multi-batch scans, drains most
+     and closes the rest early: its scope must not keep one id per
+     finished scan for the rest of its life *)
+  let doc = Secshare_xmark.Generate.generate ~factor:0.2 () in
+  let config = { DB.default_config with seed = Some Test_support.test_seed } in
+  let db = match DB.create_tree ~config doc with Ok db -> db | Error e -> failwith e in
+  let filter = Server_filter.create (DB.ring db) (DB.table db) in
+  let on_request, on_close = Server_filter.connection filter in
+  let rec drain id =
+    match on_request (Protocol.Scan_next { cursor = id; max_items = 64 }) with
+    | Protocol.Scan_batch { cursor = Some id; _ } -> drain id
+    | Protocol.Scan_batch { cursor = None; _ } -> ()
+    | r -> Alcotest.failf "scan_next: %a" (fun fmt -> Protocol.pp_response fmt) r
+  in
+  for i = 1 to 40 do
+    let id = open_scan_cursor on_request in
+    if i mod 4 = 0 then ignore (on_request (Protocol.Cursor_close id) : Protocol.response)
+    else drain id
+  done;
+  let stats = Server_filter.cursor_stats filter in
+  check Alcotest.int "no cursor open" 0 stats.Server_filter.open_cursors;
+  check Alcotest.int "the scope tracks no id" 0 stats.Server_filter.scoped_cursors;
+  check Alcotest.int "nothing evicted" 0 stats.Server_filter.evicted_cursors;
+  ignore (open_scan_cursor on_request : int);
+  check Alcotest.int "a dangling cursor is tracked" 1
+    (Server_filter.cursor_stats filter).Server_filter.scoped_cursors;
+  on_close ();
+  let stats = Server_filter.cursor_stats filter in
+  check Alcotest.int "closing the connection evicts it" 0
+    stats.Server_filter.open_cursors;
+  check Alcotest.int "one connection-close eviction" 1
+    stats.Server_filter.evicted_cursors;
+  Server_filter.close filter;
+  DB.close db
+
 let test_remote_recovers_across_server_restart () =
   (* the acceptance scenario at the query level: the server dies and
      comes back between queries; a session with retries recovers *)
@@ -276,6 +312,8 @@ let () =
           Alcotest.test_case "drain evicts cursors" `Quick test_drain_evicts_cursors;
           Alcotest.test_case "cursor ttl eviction" `Quick test_cursor_ttl_eviction;
           Alcotest.test_case "cursor cap evicts lru" `Quick test_cursor_cap_evicts_lru;
+          Alcotest.test_case "connection scope forgets finished cursors" `Quick
+            test_connection_scope_forgets_finished_cursors;
           Alcotest.test_case "session recovers across restart" `Quick
             test_remote_recovers_across_server_restart;
         ] );

@@ -123,6 +123,7 @@ type fault = Healthy | Transport_down | App_failing
 type deployment = {
   db : DB.t;  (** the single-server reference (local handle) *)
   tables : Node_table.t array;
+  filters : Server_filter.t array;  (** the shard servers *)
   switches : fault ref array;
   router : Router.t;
 }
@@ -134,7 +135,7 @@ let wrap switch handler request =
   | App_failing, Protocol.Ping -> handler request
   | App_failing, _ -> Protocol.Error_msg "injected application error"
 
-let make_deployment ?(threshold = 2) ?(shards = 3) tree =
+let make_deployment ?(threshold = 2) ?(shards = 3) ?max_cursors tree =
   let db = Test_support.db_of_tree tree in
   let tables = Array.init shards (fun _ -> Node_table.create ()) in
   let manifests =
@@ -142,17 +143,17 @@ let make_deployment ?(threshold = 2) ?(shards = 3) tree =
       ~source:(DB.table db) ~sinks:tables
   in
   let switches = Array.init shards (fun _ -> ref Healthy) in
+  let filters =
+    Array.init shards (fun i ->
+        Server_filter.create ~manifest:(Manifest.to_info manifests.(i)) ring tables.(i))
+  in
   let transports =
     List.init shards (fun i ->
-        let filter =
-          Server_filter.create ~manifest:(Manifest.to_info manifests.(i)) ring
-            tables.(i)
-        in
-        Transport.local ~handler:(wrap switches.(i) (Server_filter.handler filter)))
+        Transport.local ~handler:(wrap switches.(i) (Server_filter.handler filters.(i))))
   in
-  match Router.of_transports ring transports with
+  match Router.of_transports ring ?max_cursors transports with
   | Error e -> failwith ("router: " ^ e)
-  | Ok router -> { db; tables; switches; router }
+  | Ok router -> { db; tables; filters; switches; router }
 
 let teardown d =
   Router.close d.router;
@@ -502,6 +503,42 @@ let test_connection_scoped_cursors () =
       check Alcotest.int "closed with the connection" 0
         (Router.open_cursors d.router))
 
+let test_router_cap_evicts_lru () =
+  (* one scan past the router's cap evicts the least recently used
+     one, and the victim's shard member cursors close with it *)
+  let max_cursors = 4 in
+  let d = make_deployment ~max_cursors xmark_tree in
+  Fun.protect
+    ~finally:(fun () -> teardown d)
+    (fun () ->
+      let h = Router.handler d.router in
+      let open_scan () =
+        match
+          h
+            (Protocol.Scan_eval
+               { target = Protocol.Pre_ranges [ (1, 1_000_000) ]; points; max_items = 2 })
+        with
+        | Protocol.Scan_batch { cursor = Some id; _ } -> id
+        | r -> Alcotest.failf "expected a cursor: %a" Protocol.pp_response r
+      in
+      let first = open_scan () in
+      for _ = 1 to max_cursors do
+        ignore (open_scan () : int)
+      done;
+      check Alcotest.int "cap respected" max_cursors (Router.open_cursors d.router);
+      (match h (Protocol.Scan_next { cursor = first; max_items = 2 }) with
+      | Protocol.Error_msg msg ->
+          check Alcotest.bool ("the first scan was the victim: " ^ msg) true
+            (contains ~sub:"unknown cursor" msg)
+      | r -> Alcotest.failf "evicted cursor answered: %a" Protocol.pp_response r);
+      let shard_cursors =
+        Array.fold_left (fun n f -> n + Server_filter.open_cursors f) 0 d.filters
+      in
+      check Alcotest.bool
+        (Printf.sprintf "%d shard cursors within threshold x cap" shard_cursors)
+        true
+        (shard_cursors <= Router.threshold d.router * max_cursors))
+
 let () =
   Alcotest.run "shard"
     [
@@ -546,6 +583,8 @@ let () =
             test_bounded_target_equivalence;
           Alcotest.test_case "mid-scan failover is invisible" `Quick
             test_mid_scan_failover;
+          Alcotest.test_case "cap eviction closes member cursors" `Quick
+            test_router_cap_evicts_lru;
           Alcotest.test_case "connection close evicts cursors" `Quick
             test_connection_scoped_cursors;
         ] );
